@@ -181,9 +181,11 @@ def _u_compute(alpha, beta, m, n, cache: UCache) -> UValue:
         g, beta, m, 2.0 * n + 1.0, tol_rel=cache.quad_tol_rel,
         tol_abs=cache.quad_tol_abs, max_levels=cache.quad_max_levels)
     if not converged:
+        with np.errstate(over="ignore"):
+            partial = float(np.exp(log_int)) * sign
         raise NonConvergenceError(
             f"U({alpha},{beta},m={m},n={n}) quadrature did not converge",
-            partial=math.exp(log_int) * sign, error_bound=rel)
+            partial=partial, error_bound=rel)
     params = WeightParams(alpha, m)
     # log Gamma((2n+2)/m) recovered from the moment table entry
     lg_gamma = moment_table(params).log_moment(n) + (2.0 * n / m) * params.log_alpha

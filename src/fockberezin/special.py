@@ -12,6 +12,10 @@ Terms can span thousands of orders of magnitude, so all summation is done on a
 log scale with a single rescale by the maximal term, and exponents are built by
 cumulating the term-to-term log ratios outward from the peak (raw exponents of
 size ~1e5 would lose the low bits that the scaled sum actually needs).
+
+Every summation, scalar or grid, follows one stop rule: it ends at the first
+n past the peak term where the geometric tail bound |a_n| rho_n / (1 - rho_n),
+with rho_n = |a_{n+1} / a_n|, is at most tol * e^-8 relative to the peak term.
 """
 
 from __future__ import annotations
@@ -261,6 +265,47 @@ def _peak_index(log_abs_z, log_s, table, max_terms):
     return lo, ls
 
 
+# The stop rule of every summation here.  The dropped tail is at most
+# tol * e^-8 of the peak term, 3.4e-17 at the default tol, under a third of
+# the unit roundoff, so it seldom moves the rounded sum.  A looser margin
+# does: the m=2 series at alpha = zeta = 1 (pinned by the CLI test of
+# `fockberezin kernel`) gives exp(1) correctly rounded with e^-7 or e^-8,
+# and one ulp low with e^-4 or e^-6.
+_STOP_MARGIN = 8.0
+
+
+def _tail_small(e, d, ln_tol):
+    """True where the terms after a_n are negligible: their geometric bound
+    |a_n| rho_n / (1 - rho_n), relative to the peak term, is at most
+    tol * e^-_STOP_MARGIN.  e = log|a_n / a_peak| and d = log rho_n =
+    log|a_{n+1} / a_n|, which falls with n (log Gamma is convex), so the
+    bound holds; before the peak rho_n >= 1 and the result is False."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return e - np.log(np.expm1(-d)) <= ln_tol - _STOP_MARGIN
+
+
+def _stop_index(log_abs_z, log_s, peak, ln_tol, table, max_terms):
+    """First n >= peak that meets the stop rule, or max_terms if none before
+    it does.  The exponents are cumulated from the peak as in
+    _scaled_exponents, and the moment table grows only as far as the walk
+    looks: first as far as it already reaches, at most to 2 peak + 64, then
+    doubling."""
+    end = min(2 * peak + 64, len(table) - 2)
+    while True:
+        end = min(end, max_terms)
+        if end + 2 > len(log_s):
+            log_s = table.log_moments(end + 2)
+        d = log_abs_z - np.diff(log_s[peak: end + 2])  # n = peak .. end
+        e = np.concatenate(([0.0], np.cumsum(d[:-1])))
+        ok = _tail_small(e, d, ln_tol)
+        i = int(np.argmax(ok))
+        if ok[i]:
+            return peak + i, log_s
+        if end >= max_terms:
+            return max_terms, log_s
+        end *= 2
+
+
 def _scaled_exponents(log_abs_z, log_s, peak, n_stop):
     """Exponents log|a_n| - log|a_peak| for n = 0..n_stop, built by cumulating
     the per-step log ratios away from the peak (keeps everything O(700) even
@@ -314,9 +359,10 @@ def kernel_series(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
                   max_terms=DEFAULT_MAX_TERMS) -> SeriesValue:
     """Evaluate S(zeta) = sum zeta^n / s_n with a relative error bound.
 
-    Stops at the first term that is below tol * |partial sum| * (1 - ratio)
-    once the term ratio has fallen under 1/2; raises NonConvergenceError
-    (carrying the partial value) if max_terms is hit first.
+    Sums up to the first n past the peak term where the geometric tail
+    bound |a_n| rho_n / (1 - rho_n), relative to the peak term, is at most
+    tol * e^-8 (see _tail_small); raises NonConvergenceError (carrying the
+    partial value) if max_terms is hit first.
 
     truncation_error_bound covers the truncated tail and the rounding of
     the terms (see _scaled_sum_error) and of the log-magnitude.  Where the
@@ -345,26 +391,8 @@ def kernel_series(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
     log_abs_z = math.log(abs_z)
     log_s = table.log_moments(66)
     peak, log_s = _peak_index(log_abs_z, log_s, table, max_terms)
-
-    # walk past the peak until terms are provably negligible and the ratio
-    # safeguard holds; the partial-sum form of the rule is re-checked below
-    ln_tol = math.log(tol) - 4.0
-    ln_half = -math.log(2.0)
-    n = peak
-    e = 0.0
-    while True:
-        if n + 2 > len(log_s):
-            if n + 2 > max_terms + 2:
-                break
-            log_s = table.log_moments(min(max(2 * n + 2, 66), max_terms + 2))
-        d = log_abs_z - (log_s[n + 1] - log_s[n])
-        if (e <= ln_tol and d <= ln_half) or e <= -745.0:
-            break
-        if n >= max_terms:
-            break
-        e += d
-        n += 1
-    n_stop = n
+    n_stop, log_s = _stop_index(log_abs_z, log_s, peak, math.log(tol), table,
+                                max_terms)
 
     exps = _scaled_exponents(log_abs_z, log_s, peak, n_stop)
     scaled = np.exp(exps)
@@ -386,7 +414,6 @@ def kernel_series(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
         abs_total = abs(total)
 
     ratio = math.exp(log_abs_z - (log_s[n_stop + 1] - log_s[n_stop]))
-    converged = n_stop < max_terms and ratio < 1.0
     if abs_total == 0.0:
         # fully cancelled at working precision
         bound = math.inf
@@ -408,7 +435,7 @@ def kernel_series(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
                 abs(log_anchor) + abs(log_mag))
 
     result = SeriesValue(log_mag, phase, n_stop + 1, bound)
-    if not converged:
+    if n_stop >= max_terms:
         raise NonConvergenceError(
             f"kernel series did not meet tol={tol} within {max_terms} terms",
             partial=result, error_bound=bound)
@@ -454,145 +481,84 @@ def _peak_log_estimate(params: WeightParams, t):
 
 def log_series_grid(params: WeightParams, t, *, tol=DEFAULT_SERIES_TOL,
                     max_terms=DEFAULT_MAX_TERMS):
-    """log S(t) for an array of t >= 0.
-
-    Entries whose peak estimate exceeds _SHORTCIRCUIT_LOG get that estimate
-    instead of a full summation (their reciprocal underflows double precision,
-    which is the only way such values are consumed).  Each entry's summation
-    range depends only on its own value, so results are independent of how
-    callers batch the grid.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.size == 0:
-        return np.empty(0)
-    if np.any(t < 0.0) or not np.all(np.isfinite(t)):
-        raise ValueError("grid arguments must be finite and >= 0")
-    out = np.empty(t.shape)
-    flat = t.ravel()
-    res = out.ravel()
-
-    table = moment_table(params)
-    ls0 = table.log_moment(0)
-    peak_est = _peak_log_estimate(params, flat)
-    skip = peak_est > _SHORTCIRCUIT_LOG
-    res[skip] = peak_est[skip]
-    zero = flat == 0.0
-    res[zero] = -ls0
-
-    todo = ~(skip | zero)
-    if todo.any():
-        tv = flat[todo]
-        t_max = tv.max()
-        # summation length for the largest argument covers every smaller one
-        peak_max, log_s = _peak_index(math.log(t_max), table.log_moments(66),
-                                      table, max_terms)
-        ln_tol = math.log(tol) - 6.0
-        n = peak_max
-        e = 0.0
-        while True:
-            if n + 2 > len(log_s):
-                if n + 2 > max_terms + 2:
-                    raise NonConvergenceError(
-                        f"grid series needs more than {max_terms} terms")
-                log_s = table.log_moments(min(max(2 * n + 2, 66), max_terms + 2))
-            d = math.log(t_max) - (log_s[n + 1] - log_s[n])
-            if (e <= ln_tol and d <= -0.7) or e <= -745.0:
-                break
-            if n >= max_terms:
-                raise NonConvergenceError(
-                    f"grid series needs more than {max_terms} terms")
-            e += d
-            n += 1
-        n_rows = n + 1
-        res[todo] = _sum_grid_chunks(tv, log_s[:n_rows], tol)
-    return out
-
-
-def _sum_grid_chunks(tv, log_s, tol, chunk=512):
-    n_rows = len(log_s)
-    n_arr = np.arange(n_rows, dtype=float)[:, None]
-    out = np.empty(tv.shape)
-    ln_tol = math.log(tol) - 6.0
-    for start in range(0, tv.size, chunk):
-        tc = tv[start: start + chunk]
-        log_terms = n_arr * np.log(tc)[None, :] - log_s[:, None]
-        m_col = log_terms.max(axis=0)
-        scaled = np.exp(log_terms - m_col[None, :])
-        # per-element stop: first index past the peak whose scaled term drops
-        # below the tolerance window; cumsum makes the result independent of
-        # how many rows the batch happens to carry
-        below = log_terms - m_col[None, :] <= ln_tol
-        past_peak = np.cumsum(~below, axis=0) == np.sum(~below, axis=0)[None, :]
-        stop = np.argmax(below & past_peak, axis=0)
-        stop[~(below & past_peak).any(axis=0)] = n_rows - 1
-        csum = np.cumsum(scaled, axis=0)
-        vals = csum[stop, np.arange(tc.size)]
-        out[start: start + chunk] = m_col + np.log(vals)
-    return out
+    """log S(t) for an array of t >= 0 (see _grid_log_abs)."""
+    return _grid_log_abs(params, t, float, tol, max_terms)
 
 
 def series_abs2_grid(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
                      max_terms=DEFAULT_MAX_TERMS):
     """log |S(zeta)|^2 for an array of complex zeta (2-D Berezin path).
 
-    Uses the same single-rescale log-domain summation as the scalar evaluator;
-    accuracy is relative to the largest term, which is the natural scale when
-    the values multiply an exponentially small weight.
+    Accuracy is relative to the largest term, which is the natural scale
+    when the values multiply an exponentially small weight.
     """
-    zeta = np.asarray(zeta, dtype=complex)
-    flat = zeta.ravel()
-    out = np.empty(flat.shape)
+    return 2.0 * _grid_log_abs(params, zeta, complex, tol, max_terms)
+
+
+_GRID_CHUNK = 256
+_ABS2_FLOOR = (8.0 * _EPS) ** 2  # rounding noise of a scaled complex sum
+
+
+def _grid_log_abs(params, z, dtype, tol, max_terms):
+    """log|S(z)| entry by entry for an array of t >= 0 (dtype float) or of
+    complex zeta, with the single-rescale log-domain summation of
+    kernel_series.
+
+    Entries whose peak estimate exceeds _SHORTCIRCUIT_LOG get that estimate
+    instead of a full summation (their reciprocal underflows double
+    precision, which is the only way such values are consumed).  Every
+    other entry is summed in index order up to its own stop under
+    _tail_small, rescaled by its own peak term; the rows of each chunk of
+    _GRID_CHUNK entries come from the stop of its largest entry.  So each
+    value depends only on its own entry, not on how callers batch the grid.
+    """
+    z = np.asarray(z, dtype=dtype)
+    if not np.all(np.isfinite(z)) or (dtype is float and np.any(z < 0.0)):
+        raise ValueError("grid arguments must be finite"
+                         + (" and >= 0" if dtype is float else ""))
+    flat = z.ravel()
     abs_z = np.abs(flat)
+    out = np.empty(abs_z.shape)
 
     table = moment_table(params)
-    ls0 = table.log_moment(0)
     peak_est = _peak_log_estimate(params, abs_z)
     skip = peak_est > _SHORTCIRCUIT_LOG
-    out[skip] = 2.0 * peak_est[skip]
+    out[skip] = peak_est[skip]
     zero = abs_z == 0.0
-    out[zero] = -2.0 * ls0
+    out[zero] = -table.log_moment(0)
 
-    todo = ~(skip | zero)
-    if todo.any():
-        zv = flat[todo]
-        az = np.abs(zv)
-        t_max = az.max()
-        peak_max, log_s = _peak_index(math.log(t_max), table.log_moments(66),
-                                      table, max_terms)
-        ln_tol = math.log(tol) - 6.0
-        n = peak_max
-        e = 0.0
-        while True:
-            if n + 2 > len(log_s):
-                if n + 2 > max_terms + 2:
-                    raise NonConvergenceError(
-                        f"grid series needs more than {max_terms} terms")
-                log_s = table.log_moments(min(max(2 * n + 2, 66), max_terms + 2))
-            d = math.log(t_max) - (log_s[n + 1] - log_s[n])
-            if (e <= ln_tol and d <= -0.7) or e <= -745.0:
-                break
-            if n >= max_terms:
-                raise NonConvergenceError(
-                    f"grid series needs more than {max_terms} terms")
-            e += d
-            n += 1
-        n_rows = n + 1
-        n_arr = np.arange(n_rows, dtype=float)[:, None]
-        ls = log_s[:n_rows]
-        theta = np.angle(zv)
-        vals = np.empty(zv.shape)
-        chunk = 256
-        for start in range(0, zv.size, chunk):
-            azc = az[start: start + chunk]
-            thc = theta[start: start + chunk]
-            log_terms = n_arr * np.log(azc)[None, :] - ls[:, None]
-            m_col = log_terms.max(axis=0)
-            scaled = np.exp(log_terms - m_col[None, :])
-            phases = np.exp(1j * (n_arr * thc[None, :]))
-            tot = np.sum(scaled * phases, axis=0)
-            mag2 = tot.real * tot.real + tot.imag * tot.imag
-            # floor at the rounding noise of the scaled sum
-            mag2 = np.maximum(mag2, (8 * np.finfo(float).eps) ** 2)
-            vals[start: start + chunk] = 2.0 * m_col + np.log(mag2)
-        out[todo] = vals
-    return out.reshape(zeta.shape)
+    todo = np.flatnonzero(~(skip | zero))
+    ln_tol = math.log(tol)
+    for start in range(0, todo.size, _GRID_CHUNK):
+        idx = todo[start: start + _GRID_CHUNK]
+        log_t = np.log(abs_z[idx])
+        log_t_max = float(log_t.max())
+        peak, log_s = _peak_index(log_t_max, table.log_moments(66), table,
+                                  max_terms)
+        n_last, log_s = _stop_index(log_t_max, log_s, peak, ln_tol, table,
+                                    max_terms)
+        if n_last >= max_terms:
+            raise NonConvergenceError(
+                f"grid series needs more than {max_terms} terms")
+        n = np.arange(n_last + 1, dtype=float)[:, None]
+        log_terms = n * log_t[None, :] - log_s[: n_last + 1, None]
+        peak_log = log_terms.max(axis=0)
+        e = log_terms - peak_log[None, :]
+        d = log_t[None, :] - np.diff(log_s[: n_last + 2])[:, None]
+        ok = _tail_small(e, d, ln_tol)
+        if not ok.any(axis=0).all():
+            # the stop is monotone in |z|, so only rounding at the edge of
+            # the rule can get here; summing short would be silently wrong
+            raise RuntimeError("grid series: an entry stops past the rows "
+                               "set by the largest entry of its chunk")
+        stop = (ok.argmax(axis=0), np.arange(idx.size))
+        terms = np.exp(e)
+        if dtype is float:
+            log_sum = np.log(np.cumsum(terms, axis=0)[stop])
+        else:
+            terms = terms * np.exp(1j * (n * np.angle(flat[idx])[None, :]))
+            tot = np.cumsum(terms, axis=0)[stop]
+            log_sum = 0.5 * np.log(np.maximum(
+                tot.real * tot.real + tot.imag * tot.imag, _ABS2_FLOOR))
+        out[idx] = peak_log + log_sum
+    return out.reshape(z.shape)

@@ -223,6 +223,14 @@ class TestCliCommands:
         assert rc == 3
         assert "non-convergence" in err
 
+    def test_nonconvergence_with_overflowing_partial(self, capsys):
+        # an unconverged U(n) whose partial value overflows still exits 3
+        rc = main(["defect", "--m", "1.5", "--alpha", "0.011614110494925571",
+                   "--beta", "0.6726370993783255",
+                   "--delta", "0.08197350602425088"])
+        assert rc == 3
+        assert "non-convergence" in capsys.readouterr().err
+
     def test_kernel_log_scale_output(self, capsys):
         # value overflows linear doubles; the log form stays exact
         rc = main(["kernel", "--m", "2", "--alpha", "10", "--z", "100,0",

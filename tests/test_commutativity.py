@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fockberezin import (UCache, asymptotic_slopes, defect,
-                         derivative_identity_check, lemma1_witness,
+from fockberezin import (NonConvergenceError, UCache, asymptotic_slopes,
+                         defect, derivative_identity_check, lemma1_witness,
                          nested_at_zero, nested_by_composition,
                          tt_identities_m2, u_function)
 from fockberezin._reference import (DEFECT_M4_1_2_D1, NESTED_M4_BWD_2_1_D1,
@@ -43,6 +43,14 @@ class TestUFunction:
             u_function(0.0, 1.0, 2.0, 0, cache=cache)
         with pytest.raises(ValueError):
             u_function(1.0, 1.0, -2.0, 0, cache=cache)
+
+    def test_nonconvergence_partial_overflows_to_inf(self, cache):
+        # the unconverged integral's partial value exceeds float range; it
+        # is reported as inf, not raised as an OverflowError
+        with pytest.raises(NonConvergenceError) as ei:
+            u_function(0.6726370993783255, 0.011614110494925571, 1.5, 161,
+                       cache=cache)
+        assert ei.value.partial == math.inf
 
 
 class TestNested:

@@ -10,7 +10,7 @@ from fockberezin import (MomentTable, NonConvergenceError, WeightParams,
                          kernel_series, log_gamma, log_series_grid,
                          moment_table, reproducing_kernel, stieltjes_moment)
 from fockberezin._reference import S_A1_M4_Z1, S_COMPLEX, S_REAL
-from fockberezin.special import series_abs2_grid
+from fockberezin.special import _EPS, series_abs2_grid
 
 
 class TestLogGamma:
@@ -273,16 +273,42 @@ class TestGridEvaluators:
         assert np.max(np.abs(grid - scalar)) <= 5e-13
 
     def test_batch_independence(self):
-        # each entry's value must not depend on its batch mates
-        p = WeightParams(2.0, 1.0)
-        ts = np.geomspace(0.1, 500.0, 40)
-        whole = log_series_grid(p, ts)
-        split = np.concatenate([log_series_grid(p, ts[:7]),
-                                log_series_grid(p, ts[7:23]),
-                                log_series_grid(p, ts[23:])])
-        assert np.array_equal(whole, split)
-        single = np.array([log_series_grid(p, np.array([t]))[0] for t in ts])
-        assert np.array_equal(whole, single)
+        """Each entry's value must not depend on its batch mates: whole,
+        split and single-entry batches agree bit for bit.  257 summed
+        entries put exactly one in the last chunk of the whole batch; the
+        last two lie past the summation cut-off of the peak estimate."""
+        alpha = 1.7
+        rng = np.random.default_rng(4)
+        for m in (0.5, 1.0, 4.0, 10.0):
+            p = WeightParams(alpha, m)
+            ts = np.append(np.geomspace(1e-3, (700.0 / alpha) ** (2.0 / m), 257),
+                           (np.array([900.0, 2000.0]) / alpha) ** (2.0 / m))
+            zs = ts * np.exp(1j * rng.uniform(-np.pi, np.pi, ts.size))
+            for grid, xs in ((log_series_grid, ts), (series_abs2_grid, zs)):
+                whole = grid(p, xs)
+                assert np.all(np.isfinite(whole))
+                split = np.concatenate([grid(p, xs[:7]), grid(p, xs[7:100]),
+                                        grid(p, xs[100:])])
+                assert np.array_equal(whole, split), (m, grid.__name__)
+                single = np.array([grid(p, xs[i:i + 1])[0]
+                                   for i in range(xs.size)])
+                assert np.array_equal(whole, single), (m, grid.__name__)
+
+    def test_rows_cover_every_entry(self):
+        """The rows of a chunk come from its largest entry; every entry must
+        meet the stop rule within them (the grids raise otherwise).  Random
+        grids over the accuracy box, with entries a few ulps below the
+        largest, where rounding could break the stop's monotonicity."""
+        rng = np.random.default_rng(17)
+        for _ in range(24):
+            m = float(rng.uniform(0.5, 10.0))
+            p = WeightParams(float(10.0 ** rng.uniform(-3.0, 6.0)), m)
+            t_top = (float(rng.uniform(1.0, 800.0)) / p.alpha) ** (2.0 / m)
+            ts = t_top * rng.uniform(0.0, 1.0, 200)
+            ts = np.concatenate([ts, t_top * (1.0 - _EPS * np.arange(56))])
+            log_series_grid(p, ts)
+            series_abs2_grid(p, ts * np.exp(1j * rng.uniform(-np.pi, np.pi,
+                                                              ts.size)))
 
     def test_abs2_grid_against_scalar(self):
         p = WeightParams(1.0, 3.0)
@@ -294,5 +320,14 @@ class TestGridEvaluators:
             assert la == pytest.approx(2.0 * sv.log_magnitude, abs=1e-11)
 
     def test_rejects_negative(self):
+        p = WeightParams(1.0, 2.0)
         with pytest.raises(ValueError):
-            log_series_grid(WeightParams(1.0, 2.0), np.array([-1.0]))
+            log_series_grid(p, np.array([-1.0]))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                log_series_grid(p, np.array([1.0, bad]))
+            with pytest.raises(ValueError):
+                series_abs2_grid(p, np.array([1.0, complex(1.0, bad)]))
+        # empty input keeps its shape
+        assert log_series_grid(p, np.empty((0, 3))).shape == (0, 3)
+        assert series_abs2_grid(p, np.empty((2, 0), complex)).shape == (2, 0)
