@@ -218,13 +218,12 @@ class _KernelWeightedAverage:
     _N0 = 16
     _NMAX = 1 << 13
 
-    def __init__(self, params, z, f_planar, f_radial, *, series_tol, tol_rel,
-                 max_terms):
+    def __init__(self, params, z, f, *, series_tol, tol_rel, max_terms):
         self.params = params
         self.abs_z = abs(z)
         self.phi_z = math.atan2(z.imag, z.real) if self.abs_z > 0 else 0.0
-        self.f_planar = f_planar      # either of these may be None
-        self.f_radial = f_radial
+        self.f = f                    # a PlanarSymbol or a RadialSymbol
+        self.planar = isinstance(f, PlanarSymbol)
         self.series_tol = series_tol
         self.tol_rel = tol_rel
         self.max_terms = max_terms
@@ -263,18 +262,18 @@ class _KernelWeightedAverage:
         k = (np.arange(n) + (0.5 if offset else 0.0)) / n
         theta = 2.0 * math.pi * k
         s = self.abs_z * rho
-        psi = self.phi_z - theta if self.f_planar is not None else theta
+        psi = self.phi_z - theta if self.planar else theta
         zeta = s[:, None] * np.exp(1j * psi[None, :])
         log_abs2 = series_abs2_grid(self.params, zeta, tol=self.series_tol,
                                     max_terms=self.max_terms)
         self.point_evals += zeta.size
         scale = log_abs2.max(axis=1)
         kernel_w = np.exp(log_abs2 - scale[:, None])
-        if self.f_planar is not None:
+        if self.planar:
             w = rho[:, None] * np.exp(1j * theta[None, :])
-            fv = self.f_planar.values(w)
+            fv = self.f.values(w)
         else:
-            fv = self.f_radial.values(rho)[:, None]
+            fv = self.f.values(rho)[:, None]
         vals = fv * kernel_w
         return vals.mean(axis=1), scale, np.abs(vals).mean(axis=1)
 
@@ -294,16 +293,10 @@ def berezin_general(params: WeightParams, f, z: complex, *,
         raise ValueError("z must be finite")
     if isinstance(f, ExpSymbol):
         f = f.as_radial(params.m)
-    if isinstance(f, RadialSymbol):
-        avg = _KernelWeightedAverage(params, z, None, f, series_tol=series_tol,
-                                     tol_rel=tol_rel, max_terms=max_terms)
-        sup = f.sup_bound
-    elif isinstance(f, PlanarSymbol):
-        avg = _KernelWeightedAverage(params, z, f, None, series_tol=series_tol,
-                                     tol_rel=tol_rel, max_terms=max_terms)
-        sup = f.sup_bound
-    else:
+    if not isinstance(f, (RadialSymbol, PlanarSymbol)):
         raise TypeError(f"unsupported symbol type {type(f).__name__}")
+    avg = _KernelWeightedAverage(params, z, f, series_tol=series_tol,
+                                 tol_rel=tol_rel, max_terms=max_terms)
 
     s_z = kernel_series(params, z.real * z.real + z.imag * z.imag,
                         tol=series_tol, max_terms=max_terms)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .commutativity import defect, asymptotic_slopes
-from .config import ConfigError, RunConfig, build_config
+from .config import KEY_TO_FIELD, ConfigError, RunConfig, build_config
 from .errors import NonConvergenceError
 from .scan import cache_from_config, compute_scan, fmt17, rows_to_csv, rows_to_svg
 from .special import WeightParams, reproducing_kernel, stieltjes_moment
@@ -46,7 +46,6 @@ def _float_list(text):
 def _add_config_flags(p):
     p.add_argument("--config", metavar="PATH",
                    help="config file with key = value lines (# comments)")
-    p.add_argument("--threads", type=int, help="worker threads for scans")
     p.add_argument("--tol-series", type=float, dest="tol_series",
                    help="relative series truncation tolerance")
     p.add_argument("--tol-quad-rel", type=float, dest="tol_quad_rel",
@@ -116,10 +115,7 @@ def build_parser():
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {k: getattr(args, k, None)
-                 for k in ("threads", "tol_series", "tol_quad_rel", "tol_quad_abs",
-                           "series_max_terms", "quad_max_levels", "fd_step_rel",
-                           "defect_kappa")}
+    overrides = {k: getattr(args, k, None) for k in KEY_TO_FIELD.values()}
     return build_config(getattr(args, "config", None), overrides)
 
 
@@ -186,11 +182,7 @@ def cmd_scan(args, cfg):
 
 
 def cmd_verify(args, cfg):
-    def report(res):
-        mark = "PASS" if res.passed else "FAIL"
-        print(f"[{mark}] {res.name} ({res.seconds:.1f}s): {res.detail}")
-
-    results = run_checks(args.only, cfg, report=report)
+    results = run_checks(args.only, cfg, report=lambda res: print(res.line()))
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return EXIT_OK if not failed else EXIT_VERIFY_FAIL

@@ -307,8 +307,6 @@ def lemma1_witness(alpha: float, beta: float, m: float, *,
         cache = UCache()
     out = []
     for n in range(math.ceil(m / 2.0)):
-        if not n < m / 2.0:
-            break
         ua = cache.u(alpha, beta, m, n)
         ub = cache.u(beta, alpha, m, n)
         out.append((n, ua.value - ub.value, ua.error + ub.error))

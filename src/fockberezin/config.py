@@ -18,14 +18,13 @@ class RunConfig:
     quad_max_levels: int = 12
     fd_step_rel: float = 1e-4
     defect_kappa: float = 10.0
-    threads: int = 1
 
     def validate(self):
         for name in ("tol_series", "tol_quad_rel", "tol_quad_abs", "fd_step_rel",
                      "defect_kappa"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} must be > 0")
-        for name in ("series_max_terms", "quad_max_levels", "threads"):
+        for name in ("series_max_terms", "quad_max_levels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} must be >= 1")
         return self
@@ -40,10 +39,9 @@ KEY_TO_FIELD = {
     "quad.max_levels": "quad_max_levels",
     "fd.step_rel": "fd_step_rel",
     "defect.kappa": "defect_kappa",
-    "threads": "threads",
 }
 _FIELD_TO_KEY = {v: k for k, v in KEY_TO_FIELD.items()}
-_INT_FIELDS = {"series_max_terms", "quad_max_levels", "threads"}
+_INT_FIELDS = {"series_max_terms", "quad_max_levels"}
 
 
 def parse_config_file(path) -> dict:

@@ -1,14 +1,13 @@
 """Defect scans over (m, delta) grids with deterministic CSV/SVG emission.
 
-Rows are computed independently (work items dispatched to a thread pool),
-then sorted by (m, delta) before rendering.  All cached intermediates are
-batch-independent pure functions of their inputs, so the emitted bytes do
-not depend on the thread count.
+Rows are computed one at a time, then sorted by (m, delta) before
+rendering.  All cached intermediates are batch-independent pure functions of
+their inputs, so the emitted bytes depend neither on the order of the deltas
+nor on what the cache already holds.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .commutativity import UCache, defect
@@ -46,19 +45,13 @@ def compute_scan(m_list, alpha, beta, deltas, cfg: RunConfig,
                  cache: UCache | None = None) -> list[ScanRow]:
     if cache is None:
         cache = cache_from_config(cfg)
-    items = [(float(m), float(d)) for m in m_list for d in deltas]
-
-    def work(item):
-        m, d = item
-        rep = defect(alpha, beta, m, d, kappa=cfg.defect_kappa, cache=cache)
-        return ScanRow(m, alpha, beta, d, rep.forward.value, rep.backward.value,
-                       rep.defect, rep.combined_error, rep.significant)
-
-    if cfg.threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(work, items))
-    else:
-        rows = [work(it) for it in items]
+    rows = []
+    for m in map(float, m_list):
+        for d in map(float, deltas):
+            rep = defect(alpha, beta, m, d, kappa=cfg.defect_kappa, cache=cache)
+            rows.append(ScanRow(m, alpha, beta, d, rep.forward.value,
+                                rep.backward.value, rep.defect,
+                                rep.combined_error, rep.significant))
     rows.sort(key=lambda r: (r.m, r.delta))
     return rows
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -185,17 +186,25 @@ class MomentTable:
             self._count = new_len
 
 
-_TABLES: dict[tuple[float, float], MomentTable] = {}
+# Live tables: the least recently used is dropped past this many.  Entries
+# are pure functions of (alpha, m, n), so a rebuilt table gives the same bits.
+_TABLES_MAX = 64
+_TABLES: OrderedDict[tuple[float, float], MomentTable] = OrderedDict()
 _TABLES_LOCK = threading.Lock()
 
 
 def moment_table(params: WeightParams) -> MomentTable:
-    """Shared per-(alpha, m) moment table."""
+    """Shared per-(alpha, m) moment table, kept for the _TABLES_MAX most
+    recently used weights."""
     key = (params.alpha, params.m)
-    tab = _TABLES.get(key)
-    if tab is None:
-        with _TABLES_LOCK:
-            tab = _TABLES.setdefault(key, MomentTable(params))
+    with _TABLES_LOCK:
+        tab = _TABLES.get(key)
+        if tab is None:
+            tab = _TABLES[key] = MomentTable(params)
+            if len(_TABLES) > _TABLES_MAX:
+                _TABLES.popitem(last=False)
+        else:
+            _TABLES.move_to_end(key)
     return tab
 
 

@@ -1,4 +1,4 @@
-"""Named verification checks driven by the CLI and mirrored by the test suite.
+"""Named verification checks, run by the CLI and by the acceptance tests.
 
 Each check pins its own tolerances (they are part of the claim being
 verified, not tuning knobs) and returns a pass/fail verdict with a one-line
@@ -36,6 +36,10 @@ class CheckResult:
     detail: str
     seconds: float
 
+    def line(self):
+        mark = "PASS" if self.passed else "FAIL"
+        return f"[{mark}] {self.name} ({self.seconds:.1f}s): {self.detail}"
+
 
 def _rel(a, b):
     return abs(a - b) / abs(b)
@@ -51,7 +55,8 @@ def check_kernel_m2(cfg, cache):
     Strict relative error is only meaningful where the summation is well
     conditioned (nonnegative real arguments: all terms positive).  On the
     full complex disk the natural scale is the largest term, e^(alpha |zeta|);
-    errors are measured against it there.
+    errors are measured against it there, on two independent sets of 1000
+    draws.
     """
     rng = np.random.default_rng(20250811)
     alphas = rng.uniform(0.1, 10.0, 1000)
@@ -64,11 +69,14 @@ def check_kernel_m2(cfg, cache):
         worst_strict = max(worst_strict, _rel(sv.value, math.exp(a * t)))
     elapsed = time.perf_counter() - t0
 
-    alphas = rng.uniform(0.1, 10.0, 1000)
-    radii = 50.0 * np.sqrt(rng.uniform(0.0, 1.0, 1000))
-    angles = rng.uniform(0.0, 2.0 * math.pi, 1000)
+    disk = [rng.uniform(0.1, 10.0, 1000), rng.uniform(0.0, 1.0, 1000),
+            rng.uniform(0.0, 2.0 * math.pi, 1000)]
+    # the second set draws each point's (alpha, u, angle) in turn
+    second = np.random.default_rng(7151).uniform(
+        (0.1, 0.0, 0.0), (10.0, 1.0, 2.0 * math.pi), (1000, 3))
+    alphas, us, angles = map(np.concatenate, zip(disk, second.T))
     worst_scaled = 0.0
-    for a, r, th in zip(alphas, radii, angles):
+    for a, r, th in zip(alphas, 50.0 * np.sqrt(us), angles):
         z = complex(r * math.cos(th), r * math.sin(th))
         sv = kernel_series(WeightParams(float(a), 2.0), z,
                            tol=cfg.tol_series, max_terms=cfg.series_max_terms)
@@ -76,7 +84,7 @@ def check_kernel_m2(cfg, cache):
         worst_scaled = max(worst_scaled, err)
     ok = worst_strict <= 1e-12 and worst_scaled <= 1e-12 and elapsed < 1.0
     return ok, (f"strict rel {worst_strict:.2e} (real axis, {elapsed:.2f}s/1000), "
-                f"scale-rel {worst_scaled:.2e} (complex disk)")
+                f"scale-rel {worst_scaled:.2e} (complex disk, {len(alphas)} draws)")
 
 
 def check_kernel_reference(cfg, cache):
@@ -181,7 +189,9 @@ def check_quad_oracle(cfg, cache):
 # ---------------------------------------------------------------------------
 
 def check_unit_symbol(cfg, cache):
-    """B1 = 1: series route on the full grid, quadrature route on spot points."""
+    """B1 = 1: series route on the full grid within 30 s, quadrature route on
+    spot points."""
+    t0 = time.perf_counter()
     worst = 0.0
     for m in (1.0, 2.0, 3.0, 4.0):
         for a in (0.5, 1.0, 2.0):
@@ -189,13 +199,15 @@ def check_unit_symbol(cfg, cache):
             for r in (0.0, 0.5, 1.0, 2.0, 4.0):
                 res = berezin_exp_radial(p, 0.0, r, series_tol=cfg.tol_series)
                 worst = max(worst, abs(res.value - 1.0))
+    elapsed = time.perf_counter() - t0
     worst_q = 0.0
     for m, a, r in ((2.0, 1.0, 1.0), (1.0, 0.5, 2.0), (4.0, 2.0, 1.0)):
         res = berezin_general(WeightParams(a, m), ExpSymbol(0.0), complex(r, 0.0),
                               tol_rel=1e-10, series_tol=cfg.tol_series)
         worst_q = max(worst_q, abs(res.value - 1.0))
-    ok = worst <= 1e-9 and worst_q <= 1e-9
-    return ok, f"series route max |B1-1| {worst:.2e}, quadrature route {worst_q:.2e}"
+    ok = worst <= 1e-9 and elapsed < 30.0 and worst_q <= 1e-9
+    return ok, (f"series route max |B1-1| {worst:.2e} ({elapsed:.2f}s), "
+                f"quadrature route {worst_q:.2e}")
 
 
 def check_berezin_zero(cfg, cache):
@@ -278,10 +290,11 @@ def check_berezin_properties(cfg, cache):
 
 def check_tt_identities(cfg, cache):
     """Unconditional m=2 identities on random pairs including a 100x ratio."""
-    rng = np.random.default_rng(42)
     pairs = [(10.0, 0.1)]
-    while len(pairs) < 5:
-        pairs.append((float(rng.uniform(0.3, 5.0)), float(rng.uniform(0.3, 5.0))))
+    for seed in (42, 909):
+        rng = np.random.default_rng(seed)
+        pairs += [(float(rng.uniform(0.3, 5.0)), float(rng.uniform(0.3, 5.0)))
+                  for _ in range(4)]
     worst = 0.0
     for a, b in pairs:
         for row in tt_identities_m2(a, b, cache=cache):
@@ -408,20 +421,22 @@ def check_asymptotics(cfg, cache):
 
 
 def check_scan_determinism(cfg, cache):
-    """Byte-identical scan output across thread counts, and CSV round-trip."""
-    from dataclasses import replace
-    base = replace(cfg, threads=1)
-    wide = replace(cfg, threads=8)
-    args = ((2.0, 4.0), 1.0, 2.0, (0.5, 1.0, 2.0))
-    rows1 = compute_scan(*args, base)
-    rows8 = compute_scan(*args, wide)
-    csv1 = rows_to_csv(rows1)
-    csv8 = rows_to_csv(rows8)
-    identical = csv1.encode() == csv8.encode()
-    parsed = parse_csv(csv1)
-    roundtrip = parsed == rows1
-    ok = identical and roundtrip
-    return ok, f"threads 1 vs 8 identical: {identical}, round-trip exact: {roundtrip}"
+    """Scan bytes independent of the cache state and of the delta order
+    (a fresh cache, one warmed by an overlapping scan, reversed deltas), and
+    an exact CSV round trip."""
+    m_list, deltas = (2.0, 4.0), (0.5, 1.0, 2.0)
+    rows = compute_scan(m_list, 1.0, 2.0, deltas, cfg)
+    text = rows_to_csv(rows)
+    warm = cache_from_config(cfg)
+    compute_scan((4.0,), 1.0, 2.0, (1.0, 3.0), cfg, cache=warm)
+    warm_same = rows_to_csv(compute_scan(m_list, 1.0, 2.0, deltas, cfg,
+                                         cache=warm)) == text
+    order_same = rows_to_csv(compute_scan(m_list, 1.0, 2.0, deltas[::-1],
+                                          cfg)) == text
+    roundtrip = parse_csv(text) == rows
+    ok = warm_same and order_same and roundtrip
+    return ok, (f"identical with warm cache: {warm_same}, with reversed deltas: "
+                f"{order_same}, round-trip exact: {roundtrip}")
 
 
 CHECKS = (

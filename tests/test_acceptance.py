@@ -1,8 +1,11 @@
 """Acceptance suite: the headline claims at their stated tolerances.
 
-Each test prints one [PASS]/[FAIL] line (visible with pytest -s, or in the
-captured output of a failing run) and then asserts, so the suite doubles as
-a human-readable report.
+Every claim is stated once, as a named check in fockberezin.verify; the
+parametrized test asserts each check's result from one run of the whole
+suite against one shared cache, exactly as `fockberezin verify` runs it.
+C01a stands on its own.  Each test prints one [PASS]/[FAIL] line (visible
+with pytest -s, or in the captured output of a failing run) and then
+asserts, so the suite doubles as a human-readable report.
 
 C01a checks the strict m=2 claim over the complex disk, which double
 precision cannot meet where the summation is badly conditioned: it passes
@@ -10,22 +13,14 @@ when every draw is either certified to 1e-12 or disclaimed by an honest
 error bound; see its docstring for the conditioning analysis.
 """
 
-import cmath
-import itertools
 import math
-import time
 
 import numpy as np
 import pytest
 
-from fockberezin import (ExpSymbol, UCache, WeightParams, asymptotic_slopes,
-                         berezin_at_zero, berezin_exp_radial, berezin_general,
-                         defect, derivative_identity_check, kernel_series,
-                         lemma1_witness, nested_by_composition,
-                         tt_identities_m2, u_function)
+from fockberezin import WeightParams, kernel_series
 from fockberezin.config import RunConfig
-from fockberezin.scan import compute_scan, rows_to_csv
-from fockberezin._reference import U_GAP_M4_12
+from fockberezin.verify import CHECK_NAMES, run_checks
 
 
 def _report(tag, desc, passed, detail):
@@ -34,8 +29,8 @@ def _report(tag, desc, passed, detail):
 
 
 @pytest.fixture(scope="module")
-def cache():
-    return UCache()
+def verify_results():
+    return {res.name: res for res in run_checks(None, RunConfig())}
 
 
 def test_c01a_kernel_m2_strict_complex_disk():
@@ -101,204 +96,8 @@ def test_c01a_kernel_m2_strict_complex_disk():
             f"error/bound {worst_ratio:.3g}")
 
 
-def test_c01b_kernel_m2_strict_real_axis():
-    """Strict form of C01 on the subdomain where it is numerically meaningful
-    (nonnegative real arguments: every term positive, condition number 1),
-    including the stated runtime budget."""
-    rng = np.random.default_rng(20250811)
-    alphas = rng.uniform(0.1, 10.0, 1000)
-    ts = rng.uniform(0.0, 50.0, 1000)
-    t0 = time.perf_counter()
-    worst = 0.0
-    for a, t in zip(alphas, ts):
-        sv = kernel_series(WeightParams(float(a), 2.0), float(t))
-        worst = max(worst, abs(sv.value - math.exp(a * t)) / math.exp(a * t))
-    elapsed = time.perf_counter() - t0
-    _report("C01b", "kernel closed form m=2, strict on real axis",
-            worst <= 1e-12 and elapsed < 1.0,
-            f"max rel {worst:.2e} (limit 1e-12), {elapsed:.2f}s/1000 (limit 1s)")
-
-
-def test_c01c_kernel_m2_scale_relative_disk():
-    """C01 over the full disk with the error measured against the natural
-    scale of the summation, exp(alpha |zeta|): the strongest uniform
-    statement double precision admits there."""
-    rng = np.random.default_rng(7151)
-    worst = 0.0
-    for _ in range(1000):
-        a = float(rng.uniform(0.1, 10.0))
-        r = 50.0 * math.sqrt(float(rng.uniform(0.0, 1.0)))
-        th = float(rng.uniform(0.0, 2.0 * math.pi))
-        z = complex(r * math.cos(th), r * math.sin(th))
-        sv = kernel_series(WeightParams(a, 2.0), z)
-        err = abs(sv.value - cmath.exp(a * z)) * math.exp(-a * abs(z))
-        worst = max(worst, err)
-    _report("C01c", "kernel closed form m=2, scale-relative over disk",
-            worst <= 1e-12, f"max scale-rel {worst:.2e} (limit 1e-12)")
-
-
-def test_c02_unit_symbol():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for m in (1.0, 2.0, 3.0, 4.0):
-        for a in (0.5, 1.0, 2.0):
-            for r in (0.0, 0.5, 1.0, 2.0, 4.0):
-                res = berezin_exp_radial(WeightParams(a, m), 0.0, r)
-                worst = max(worst, abs(res.value - 1.0))
-    elapsed = time.perf_counter() - t0
-    _report("C02", "measure normalization B1 = 1",
-            worst <= 1e-9 and elapsed < 30.0,
-            f"max |B1-1| {worst:.2e} (limit 1e-9), {elapsed:.1f}s (limit 30s)")
-
-
-def test_c03_berezin_at_zero_closed_form():
-    worst = 0.0
-    for m in (1.0, 2.0, 3.0, 4.0, 6.0):
-        for a in (0.5, 1.0, 2.0):
-            for d in (0.0, 0.5, 1.0, 4.0):
-                res = berezin_at_zero(WeightParams(a, m), ExpSymbol(d))
-                want = (a / (a + d)) ** (2.0 / m)
-                worst = max(worst, abs(res.value - want) / want)
-    _report("C03", "transform of exp symbol at the origin",
-            worst <= 1e-10, f"max rel {worst:.2e} (limit 1e-10)")
-
-
-def test_c04_m2_closed_form_general_radius():
-    worst = 0.0
-    for a in (0.5, 1.0, 2.0):
-        for d in (0.5, 1.0, 2.0):
-            for r in (0.0, 0.5, 1.0, 2.0, 4.0):
-                got = berezin_exp_radial(WeightParams(a, 2.0), d, r).value
-                want = (a / (a + d)) * math.exp(-(a * d / (a + d)) * r * r)
-                worst = max(worst, abs(got - want) / want)
-    _report("C04", "m=2 closed form at general radius",
-            worst <= 1e-10, f"max rel {worst:.2e} (limit 1e-10)")
-
-
-def test_c05_dual_path_consistency():
-    worst = 0.0
-    for m in (1.0, 2.0, 4.0):
-        for a in (0.5, 1.0, 2.0):
-            for d in (0.5, 1.0, 2.0):
-                for r in (0.0, 0.7, 1.5):
-                    p = WeightParams(a, m)
-                    s = berezin_exp_radial(p, d, r)
-                    g = berezin_general(p, ExpSymbol(d), complex(r, 0.0),
-                                        tol_rel=1e-10)
-                    worst = max(worst, abs(g.value - s.value) / s.value)
-    _report("C05", "series route vs 2-D quadrature route",
-            worst <= 1e-8, f"max rel {worst:.2e} over 81 points (limit 1e-8)")
-
-
-def test_c06_commutativity_at_m2(cache):
-    grid = (0.5, 1.0, 2.0, 4.0)
-    worst_defect = worst_cf = 0.0
-    bounded = True
-    for a, b, d in itertools.product(grid, grid, grid):
-        rep = defect(a, b, 2.0, d, cache=cache)
-        worst_defect = max(worst_defect, abs(rep.defect))
-        bounded &= abs(rep.defect) <= 10.0 * rep.combined_error
-        want = a * b / (a * b + a * d + b * d)
-        worst_cf = max(worst_cf, abs(rep.forward.value - want) / want)
-    _report("C06", "commutativity at m=2 over 4x4x4 grid",
-            worst_defect <= 1e-9 and worst_cf <= 1e-9 and bounded,
-            f"max |defect| {worst_defect:.2e} (limit 1e-9), within error bars: "
-            f"{bounded}, closed form max rel {worst_cf:.2e} (limit 1e-9)")
-
-
-def test_c07_non_commutativity_otherwise(cache):
-    details = []
-    ok = True
-    for m in (1.0, 3.0, 4.0, 6.0):
-        best = None
-        for (a, b), d in itertools.product(((1.0, 2.0), (1.0, 5.0), (0.5, 4.0)),
-                                           (0.5, 1.0, 2.0)):
-            rep = defect(a, b, m, d, cache=cache)
-            if rep.significant and (best is None
-                                    or abs(rep.defect) > abs(best.defect)):
-                best = rep
-        if best is None:
-            ok = False
-            details.append(f"m={m:g}: no significant defect")
-            continue
-        a, b, _ = best.params_pair
-        fw = nested_by_composition(a, b, m, best.delta)
-        bw = nested_by_composition(b, a, m, best.delta)
-        rel = abs(best.defect - (fw.value - bw.value)) / abs(fw.value - bw.value)
-        ok &= rel <= 1e-4
-        details.append(f"m={m:g}: defect {best.defect:+.2e}, oracle rel {rel:.0e}")
-    _report("C07", "significant defect for every m != 2", ok,
-            "; ".join(details) + " (oracle limit 1e-4)")
-
-
-def test_c08_lemma1_witness(cache):
-    gaps = lemma1_witness(1.0, 2.0, 4.0, cache=cache)
-    sig = [(n, g) for n, g, e in gaps if abs(g) > 10.0 * e]
-    match = all(abs(g - U_GAP_M4_12[n]) / abs(U_GAP_M4_12[n]) <= 1e-5
-                for n, g, _ in gaps)
-    m2 = lemma1_witness(1.0, 3.0, 2.0, cache=cache)
-    m2_ok = abs(m2[0][1]) <= 1e-10 * math.pi / 4.0
-    _report("C08", "low-order U-symmetry witness",
-            bool(sig) and match and m2_ok,
-            f"m=4 significant at n={[n for n, _ in sig]}, reference match "
-            f"(limit 1e-5): {match}, m=2 gap {m2[0][1]:.1e} "
-            f"(limit {1e-10 * math.pi / 4.0:.1e})")
-
-
-def test_c09_first_order_identities_m2(cache):
-    rng = np.random.default_rng(909)
-    pairs = [(10.0, 0.1)] + [(float(rng.uniform(0.3, 5.0)),
-                              float(rng.uniform(0.3, 5.0))) for _ in range(4)]
-    worst = 0.0
-    for a, b in pairs:
-        for row in tt_identities_m2(a, b, cache=cache):
-            worst = max(worst, row.rel_gap)
-    _report("C09", "m=2 symmetry identities on 5 pairs (one with 100x ratio)",
-            worst <= 1e-9, f"max rel gap {worst:.2e} (limit 1e-9)")
-
-
-def test_c10_derivative_identities(cache):
-    worst = 0.0
-    for m in (2.0, 4.0):
-        for n in (0, 1):
-            for a, b in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
-                _, _, gap = derivative_identity_check(a, b, m, n, h_rel=1e-4,
-                                                      cache=cache)
-                worst = max(worst, gap)
-    _, _, g1 = derivative_identity_check(1.0, 2.0, 2.0, 0, h_rel=1e-4, cache=cache)
-    _, _, g2 = derivative_identity_check(1.0, 2.0, 2.0, 0, h_rel=5e-5, cache=cache)
-    factor = g1 / g2
-    _report("C10", "derivative ladder identities",
-            worst <= 1e-5 and 3.0 <= factor <= 5.0,
-            f"max rel gap {worst:.2e} (limit 1e-5), halving factor {factor:.2f} "
-            f"(range [3, 5])")
-
-
-def test_c11_u_growth_bound(cache):
-    vals = [u_function(1.0, 2.0, 4.0, n, cache=cache).value for n in range(101)]
-    n_star = int(np.argmax(vals))
-    tail_ok = max(vals[50:]) <= 1.01 * max(vals)
-    _report("C11", "U growth bound at (m, alpha, beta) = (4, 1, 2)",
-            n_star <= 50 and tail_ok,
-            f"max at n={n_star} (limit 50), tail within 1%: {tail_ok}")
-
-
-def test_c12_asymptotic_slopes(cache):
-    grid = np.geomspace(1e3, 1e5, 7)
-    s0, sp = asymptotic_slopes(4.0, 1.0, grid, cache=cache)
-    s0_2, _ = asymptotic_slopes(2.0, 1.0, grid, cache=cache)
-    ok = (abs(s0 + 0.5) <= 0.05 and abs(sp + 1.5) <= 0.05
-          and abs(s0_2 + 1.0) <= 0.05)
-    _report("C12", "large-beta scaling exponents", ok,
-            f"m=4: ({s0:.3f}, {sp:.3f}) want (-0.5, -1.5) +-0.05; "
-            f"m=2 sanity: {s0_2:.3f} want -1 +-0.05")
-
-
-def test_c13_scan_determinism():
-    from dataclasses import replace
-    cfg = RunConfig()
-    args = ((2.0, 4.0), 1.0, 2.0, (0.5, 1.0, 2.0))
-    b1 = rows_to_csv(compute_scan(*args, replace(cfg, threads=1))).encode()
-    b8 = rows_to_csv(compute_scan(*args, replace(cfg, threads=8))).encode()
-    _report("C13", "scan output is byte-identical across thread counts",
-            b1 == b8, f"{len(b1)} bytes, identical: {b1 == b8}")
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_verify_check(verify_results, name):
+    res = verify_results[name]
+    print(res.line())
+    assert res.passed, res.line()

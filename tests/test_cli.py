@@ -1,13 +1,16 @@
 """CLI surface: commands, exit codes, CSV/SVG/config file formats."""
 
 import math
+import shlex
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from fockberezin.cli import main
+from fockberezin.cli import build_parser, main
 from fockberezin.config import ConfigError, RunConfig, build_config, parse_config_file
-from fockberezin.scan import (CSV_HEADER, compute_scan, fmt17,
-                              parse_csv, rows_to_csv, rows_to_svg)
+from fockberezin.scan import (CSV_HEADER, cache_from_config, compute_scan,
+                              fmt17, parse_csv, rows_to_csv, rows_to_svg)
 from fockberezin.svg import polyline_chart
 
 
@@ -19,26 +22,27 @@ class TestConfig:
         assert cfg.series_max_terms == 20000
         assert cfg.quad_max_levels == 12
         assert cfg.defect_kappa == 10.0
-        assert cfg.threads == 1
 
     def test_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\n"
                         "tol.series = 1e-10\n"
-                        "threads = 4   # inline comment\n"
+                        "series.max_terms = 400   # inline comment\n"
                         "quad.max_levels=9\n")
         values = parse_config_file(path)
-        assert values == {"tol_series": 1e-10, "threads": 4, "quad_max_levels": 9}
+        assert values == {"tol_series": 1e-10, "series_max_terms": 400,
+                          "quad_max_levels": 9}
 
     def test_cli_overrides_file(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("threads = 4\n")
-        cfg = build_config(path, {"threads": 2, "tol_series": None})
-        assert cfg.threads == 2
+        path.write_text("quad.max_levels = 9\n")
+        cfg = build_config(path, {"quad_max_levels": 10, "tol_series": None})
+        assert cfg.quad_max_levels == 10
         assert cfg.tol_series == 1e-13
 
     @pytest.mark.parametrize("text", ["bogus.key = 1\n", "tol.series : 1\n",
-                                      "tol.series = abc\n", "threads = 0\n"])
+                                      "tol.series = abc\n", "threads = 0\n",
+                                      "quad.max_levels = 0\n"])
     def test_bad_config_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -67,11 +71,14 @@ class TestScanMachinery:
         assert text.splitlines()[0] == CSV_HEADER
         assert parse_csv(text) == rows
 
-    def test_thread_count_invariance(self):
-        from dataclasses import replace
+    def test_cache_state_and_delta_order_invariance(self):
         cfg = RunConfig()
-        a = rows_to_csv(compute_scan([2.0, 4.0], 1.0, 2.0, [0.5, 1.0], replace(cfg, threads=1)))
-        b = rows_to_csv(compute_scan([2.0, 4.0], 1.0, 2.0, [0.5, 1.0], replace(cfg, threads=8)))
+        cache = cache_from_config(cfg)
+        a = rows_to_csv(compute_scan([2.0, 4.0], 1.0, 2.0, [0.5, 1.0], cfg,
+                                     cache=cache))
+        # the same cache, now holding every U value and 1/S node of the scan
+        b = rows_to_csv(compute_scan([4.0, 2.0], 1.0, 2.0, [1.0, 0.5], cfg,
+                                     cache=cache))
         assert a.encode() == b.encode()
 
     def test_m2_rows_not_significant(self):
@@ -153,13 +160,28 @@ class TestCliCommands:
         assert rc == 2
 
     def test_scan_determinism_via_cli(self, tmp_path):
-        args = ["scan", "--m", "2,4", "--alpha", "1", "--beta", "2",
-                "--deltas", "0.5,1,2"]
-        p1 = tmp_path / "t1.csv"
-        p8 = tmp_path / "t8.csv"
-        assert main(args + ["--out", str(p1), "--threads", "1"]) == 0
-        assert main(args + ["--out", str(p8), "--threads", "8"]) == 0
-        assert p1.read_bytes() == p8.read_bytes()
+        args = ["scan", "--m", "2,4", "--alpha", "1", "--beta", "2"]
+        p1 = tmp_path / "up.csv"
+        p2 = tmp_path / "shuffled.csv"
+        assert main(args + ["--deltas", "0.5,1,2", "--out", str(p1)]) == 0
+        assert main(args + ["--deltas", "2,0.5,1", "--out", str(p2)]) == 0
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_threads_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as ei:
+            main(["scan", "--m", "2", "--alpha", "1", "--beta", "2",
+                  "--deltas", "1", "--out", str(tmp_path / "x.csv"),
+                  "--threads", "2"])
+        assert ei.value.code == 2
+
+    def test_threads_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 4\n")
+        rc = main(["scan", "--m", "2", "--alpha", "1", "--beta", "2",
+                   "--deltas", "1", "--out", str(tmp_path / "x.csv"),
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown key 'threads'" in capsys.readouterr().err
 
     def test_moments_output(self, capsys):
         rc = main(["moments", "--m", "2", "--alpha", "1", "--n-max", "5"])
@@ -239,3 +261,34 @@ class TestCliCommands:
         assert rc == 0
         assert "log|K| = 1000" in out
         assert "inf" in out
+
+
+def _readme_block(heading):
+    """The lines of the first fenced block after a README heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = text[text.index(heading + "\n"):]
+    return after.split("```\n", 2)[1].splitlines()
+
+
+class TestReadme:
+    def test_command_lines_parse(self):
+        commands, line = [], ""
+        for raw in _readme_block("## Command line"):
+            line += raw
+            if line.endswith("\\"):   # continued on the next line
+                line = line[:-1]
+                continue
+            commands.append(shlex.split(line, comments=True))
+            line = ""
+        assert len(commands) == 7
+        parser = build_parser()
+        for argv in commands:
+            assert argv[0] == "fockberezin"
+            parser.parse_args(argv[1:])
+
+    def test_config_block_parses(self, tmp_path):
+        path = tmp_path / "readme.cfg"
+        path.write_text("\n".join(_readme_block("### Config file")) + "\n")
+        values = parse_config_file(path)
+        assert build_config(path) == RunConfig()
+        assert len(values) == len(fields(RunConfig))

@@ -1,7 +1,9 @@
 """Gamma machinery, moments, and kernel series."""
 
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from fockberezin import (MomentTable, NonConvergenceError, WeightParams,
                          kernel_series, log_gamma, log_series_grid,
                          moment_table, reproducing_kernel, stieltjes_moment)
+from fockberezin import special
 from fockberezin._reference import S_A1_M4_Z1, S_COMPLEX, S_REAL
 from fockberezin.special import _EPS, series_abs2_grid
 
@@ -97,6 +100,25 @@ class TestMoments:
     def test_negative_index(self):
         with pytest.raises(ValueError):
             moment_table(WeightParams(1.0, 2.0)).log_moment(-1)
+
+    def test_shared_tables_bounded(self):
+        rng = np.random.default_rng(5)
+        alive = [weakref.ref(moment_table(WeightParams(float(a), 3.0)))
+                 for a in rng.uniform(1e-3, 1e3, 1000)]
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) <= special._TABLES_MAX
+        assert len(special._TABLES) <= special._TABLES_MAX
+
+    def test_evicted_table_rebuilds_same_bits(self):
+        p = WeightParams(0.7317, 3.0)
+        kernel_series(p, 400.0)   # grow the table well past what 3.0 needs
+        before = kernel_series(p, 3.0)
+        table = weakref.ref(moment_table(p))
+        for a in np.linspace(1.0, 2.0, special._TABLES_MAX):
+            moment_table(WeightParams(float(a), 3.0))
+        gc.collect()
+        assert table() is None
+        assert kernel_series(p, 3.0) == before
 
 
 class TestKernelSeries:
