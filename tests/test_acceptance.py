@@ -1,9 +1,11 @@
 """Acceptance suite: the headline claims at their stated tolerances.
 
-Every claim is stated once, as a named check in fockberezin.verify; the
+Every claim is stated as a named check in fockberezin.verify; the
 parametrized test asserts each check's result from one run of the whole
 suite against one shared cache, exactly as `fockberezin verify` runs it.
-C01a stands on its own.  Each test prints one [PASS]/[FAIL] line (visible
+C01a-C01c stand on their own; C01b and C01c state the real-axis and
+scale-relative disk draws of the kernel-m2 check against kernel_series with
+its default arguments.  Each test prints one [PASS]/[FAIL] line (visible
 with pytest -s, or in the captured output of a failing run) and then
 asserts, so the suite doubles as a human-readable report.
 
@@ -13,7 +15,9 @@ when every draw is either certified to 1e-12 or disclaimed by an honest
 error bound; see its docstring for the conditioning analysis.
 """
 
+import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -94,6 +98,42 @@ def test_c01a_kernel_m2_strict_complex_disk():
             f"1e-12; error above bound on {dishonest} (limit 0); condition number "
             f"<= 2 certified on {well_certified}/{well_conditioned}; worst "
             f"error/bound {worst_ratio:.3g}")
+
+
+def test_c01b_kernel_m2_strict_real_axis():
+    """Strict form of C01 on the subdomain where it is numerically meaningful
+    (nonnegative real arguments: every term positive, condition number 1),
+    including the stated runtime budget."""
+    rng = np.random.default_rng(20250811)
+    alphas = rng.uniform(0.1, 10.0, 1000)
+    ts = rng.uniform(0.0, 50.0, 1000)
+    t0 = time.perf_counter()
+    worst = 0.0
+    for a, t in zip(alphas, ts):
+        sv = kernel_series(WeightParams(float(a), 2.0), float(t))
+        worst = max(worst, abs(sv.value - math.exp(a * t)) / math.exp(a * t))
+    elapsed = time.perf_counter() - t0
+    _report("C01b", "kernel closed form m=2, strict on real axis",
+            worst <= 1e-12 and elapsed < 1.0,
+            f"max rel {worst:.2e} (limit 1e-12), {elapsed:.2f}s/1000 (limit 1s)")
+
+
+def test_c01c_kernel_m2_scale_relative_disk():
+    """C01 over the full disk with the error measured against the natural
+    scale of the summation, exp(alpha |zeta|): the strongest uniform
+    statement double precision admits there."""
+    rng = np.random.default_rng(7151)
+    worst = 0.0
+    for _ in range(1000):
+        a = float(rng.uniform(0.1, 10.0))
+        r = 50.0 * math.sqrt(float(rng.uniform(0.0, 1.0)))
+        th = float(rng.uniform(0.0, 2.0 * math.pi))
+        z = complex(r * math.cos(th), r * math.sin(th))
+        sv = kernel_series(WeightParams(a, 2.0), z)
+        err = abs(sv.value - cmath.exp(a * z)) * math.exp(-a * abs(z))
+        worst = max(worst, err)
+    _report("C01c", "kernel closed form m=2, scale-relative over disk",
+            worst <= 1e-12, f"max scale-rel {worst:.2e} (limit 1e-12)")
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
