@@ -7,6 +7,11 @@ Two independent routes are provided:
 * a 2-D polar quadrature route for arbitrary bounded symbols
   (berezin_general), radial exp-sinh times angular trapezoid.
 
+berezin_at_zero sends radial symbols straight to the radial quadrature and
+planar symbols through the 2-D polar route at z = 0, where the kernel
+factor is constant.  Both routes reject symbol values that are NaN or
+exceed the declared sup bound.
+
 For f_delta the radial series telescopes into a ratio of kernel-series
 values: reindexing Gamma((2n+2)/m)/s_n^2 = alpha^{2n/m}/s_n turns the sum
 into S evaluated at the contracted argument r^2 (alpha/(alpha+delta))^{2/m},
@@ -31,7 +36,7 @@ from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, WeightParams,
                       kernel_series, log_series_grid, series_abs2_grid)
 from .quadrature import (DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_ABS,
                          DEFAULT_QUAD_TOL_REL, QuadResult, RadialSymbol,
-                         _run_de_pair, integrate_radial)
+                         _check_bound, _run_de_pair, integrate_radial)
 
 _EPS = np.finfo(float).eps
 
@@ -92,73 +97,23 @@ def berezin_at_zero(params: WeightParams, f, *, tol_rel=DEFAULT_QUAD_TOL_REL,
                     series_tol=DEFAULT_SERIES_TOL) -> QuadResult:
     """(B f)(0): the integral of f against the normalized weight measure.
 
-    Radial symbols go straight to the radial quadrature; planar symbols are
-    angularly averaged first (trapezoid with node doubling, spectrally
-    accurate for the periodic integrand).
+    Radial symbols go straight to the radial quadrature.  Planar symbols
+    take the 2-D polar route at z = 0 (berezin_general), where the kernel
+    factor is the constant |S(0)|^2 and only the angular mean is summed.
+    Both routes reject symbol values that are NaN or exceed the sup bound.
     """
-    ang_err = 0.0
+    if isinstance(f, PlanarSymbol):
+        return berezin_general(params, f, 0j, tol_rel=tol_rel, tol_abs=tol_abs,
+                               max_levels=max_levels, series_tol=series_tol)
     if isinstance(f, ExpSymbol):
-        g = f.as_radial(params.m)
-    elif isinstance(f, RadialSymbol):
-        g = f
-    elif isinstance(f, PlanarSymbol):
-        avg = _PlanarAverage(f, series_tol=series_tol, tol_rel=tol_rel)
-        g = RadialSymbol(lambda r: float(avg.values(np.array([r]))[0]),
-                         f.sup_bound, eval_array=avg.values)
-    else:
+        f = f.as_radial(params.m)
+    elif not isinstance(f, RadialSymbol):
         raise TypeError(f"unsupported symbol type {type(f).__name__}")
-
-    res = integrate_radial(g, params.alpha, params.m, 1.0, tol_rel=tol_rel,
+    res = integrate_radial(f, params.alpha, params.m, 1.0, tol_rel=tol_rel,
                            tol_abs=tol_abs, max_levels=max_levels)
     factor = math.exp(_normalization_log(params))
-    if isinstance(f, PlanarSymbol):
-        ang_err = avg.max_abs_err * 1.0  # the weight measure has total mass 1
-        evals = avg.point_evals
-    else:
-        evals = res.evaluations
-    return QuadResult(res.value * factor,
-                      res.abs_error_estimate * factor + ang_err,
-                      evals, res.converged)
-
-
-class _PlanarAverage:
-    """Angular mean of a planar symbol at given radii, by trapezoid doubling."""
-
-    _N0 = 16
-    _NMAX = 1 << 13
-
-    def __init__(self, f: PlanarSymbol, *, series_tol, tol_rel):
-        self.f = f
-        self.tol_rel = tol_rel
-        self.max_abs_err = 0.0
-        self.point_evals = 0
-
-    def values(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if r.size == 0:
-            return np.empty(0)
-        n = self._N0
-        theta = 2.0 * math.pi * np.arange(n) / n
-        mean = self._mean(r, theta)
-        while True:
-            offs = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-            mean_new = 0.5 * (mean + self._mean(r, offs))
-            n *= 2
-            diff = float(np.max(np.abs(mean_new - mean)))
-            scale = max(float(np.max(np.abs(mean_new))), 1e-6 * self.f.sup_bound)
-            mean = mean_new
-            if diff <= max(0.25 * self.tol_rel * scale, 8.0 * _EPS * self.f.sup_bound):
-                break
-            if n >= self._NMAX:
-                break
-        self.max_abs_err = max(self.max_abs_err, diff)
-        return mean
-
-    def _mean(self, r, theta):
-        w = r[:, None] * np.exp(1j * theta[None, :])
-        vals = self.f.values(w)
-        self.point_evals += vals.size
-        return vals.mean(axis=1)
+    return QuadResult(res.value * factor, res.abs_error_estimate * factor,
+                      res.evaluations, res.converged)
 
 
 def berezin_exp_radial(params: WeightParams, delta: float, r: float, *,
@@ -209,7 +164,8 @@ def berezin_exp_radial_grid(params: WeightParams, delta: float, r, *,
 
 
 class _KernelWeightedAverage:
-    """Angular mean of f(w) |S(z conj(w))|^2 over the circle |w| = rho.
+    """Angular mean of f(w) |S(z conj(w))|^2 over the circle |w| = rho, by
+    trapezoid node doubling; every batch of f values is bound-checked.
 
     Values are returned in sign/log form, rescaled per radius by the largest
     |S|^2 on the circle, so magnitudes far outside double range stay exact.
@@ -221,7 +177,7 @@ class _KernelWeightedAverage:
     def __init__(self, params, z, f, *, series_tol, tol_rel, max_terms):
         self.params = params
         self.abs_z = abs(z)
-        self.phi_z = math.atan2(z.imag, z.real) if self.abs_z > 0 else 0.0
+        self.phi_z = math.atan2(z.imag, z.real)
         self.f = f                    # a PlanarSymbol or a RadialSymbol
         self.planar = isinstance(f, PlanarSymbol)
         self.series_tol = series_tol
@@ -261,19 +217,25 @@ class _KernelWeightedAverage:
     def _mean(self, rho, n, *, offset):
         k = (np.arange(n) + (0.5 if offset else 0.0)) / n
         theta = 2.0 * math.pi * k
-        s = self.abs_z * rho
-        psi = self.phi_z - theta if self.planar else theta
-        zeta = s[:, None] * np.exp(1j * psi[None, :])
-        log_abs2 = series_abs2_grid(self.params, zeta, tol=self.series_tol,
-                                    max_terms=self.max_terms)
-        self.point_evals += zeta.size
-        scale = log_abs2.max(axis=1)
-        kernel_w = np.exp(log_abs2 - scale[:, None])
+        self.point_evals += len(rho) * n
+        if self.abs_z == 0.0:
+            # S(0) = 1/Gamma(2/m): the kernel factor is constant, no series
+            scale = np.full(len(rho), -2.0 * self.params.log_gamma_2m)
+            kernel_w = 1.0
+        else:
+            s = self.abs_z * rho
+            psi = self.phi_z - theta if self.planar else theta
+            zeta = s[:, None] * np.exp(1j * psi[None, :])
+            log_abs2 = series_abs2_grid(self.params, zeta, tol=self.series_tol,
+                                        max_terms=self.max_terms)
+            scale = log_abs2.max(axis=1)
+            kernel_w = np.exp(log_abs2 - scale[:, None])
         if self.planar:
             w = rho[:, None] * np.exp(1j * theta[None, :])
             fv = self.f.values(w)
         else:
             fv = self.f.values(rho)[:, None]
+        _check_bound(fv, self.f.sup_bound)
         vals = fv * kernel_w
         return vals.mean(axis=1), scale, np.abs(vals).mean(axis=1)
 
@@ -286,7 +248,8 @@ def berezin_general(params: WeightParams, f, z: complex, *,
 
     Independent of the radial series route: the kernel factor is evaluated
     numerically on every angular node and integrated by trapezoid doubling,
-    then radially by the exp-sinh rule.
+    then radially by the exp-sinh rule.  Raises ValueError when f returns
+    NaN or exceeds its sup_bound.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

@@ -112,6 +112,12 @@ class _DESum:
         log_f[sgn == 0.0] = -np.inf
         return sgn, log_f
 
+    def _within_tol(self, err, t_sum, scale):
+        """err meets the absolute tolerance (rescaled to scale) or the
+        relative tolerance on t_sum."""
+        return err <= max(math.exp(min(self.log_tol_abs_scaled - scale, 700.0)),
+                          self.tol_rel * abs(t_sum))
+
     def run(self):
         scale = None
         t_sum = a_sum = b_sum = 0.0
@@ -155,10 +161,7 @@ class _DESum:
                 b_sum = 0.5 * b_sum + h * float(np.sum(rnd))
             if prev is not None:
                 err = abs(t_sum - prev)
-                thr = max(math.exp(min(self.log_tol_abs_scaled - scale, 700.0)),
-                          self.tol_rel * abs(t_sum))
-                if level >= 2 and err <= thr:
-                    converged = True
+                converged = level >= 2 and self._within_tol(err, t_sum, scale)
             prev = t_sum
             if converged:
                 break
@@ -166,9 +169,7 @@ class _DESum:
         err = max(err if math.isfinite(err) else 0.0,
                   _EPS * (8.0 * a_sum + 2.0 * b_sum))
         if converged:  # the floor may push the estimate past tolerance
-            thr = max(math.exp(min(self.log_tol_abs_scaled - (scale or 0.0), 700.0)),
-                      self.tol_rel * abs(t_sum))
-            converged = err <= thr
+            converged = self._within_tol(err, t_sum, scale)
         return t_sum, a_sum, scale if scale is not None else 0.0, err, converged
 
 

@@ -10,6 +10,8 @@ from fockberezin import (ExpSymbol, PlanarSymbol, RadialSymbol, WeightParams,
                          berezin_at_zero, berezin_exp_radial,
                          berezin_exp_radial_grid, berezin_general)
 from fockberezin._reference import BEREZIN_EXP_M4_A1_D1_R1
+from fockberezin.commutativity import _make_inv_kernel_symbol
+from fockberezin.special import DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL
 
 
 class TestSymbols:
@@ -33,6 +35,30 @@ class TestSymbols:
         assert vals.shape == (1, 2)
         assert np.allclose(vals, [[1.0, 0.5]])
 
+    def test_benchmark_harness_symbol_api(self):
+        # bench/workloads.py builds planar symbols from a scalar callable plus
+        # eval_array; bench/tracing.py counts 1/S node requests by replacing
+        # eval_array on the symbol that _make_inv_kernel_symbol returns
+        f = PlanarSymbol(lambda w: math.exp(-abs(w) ** 3), 1.0,
+                         eval_array=lambda w: np.exp(-np.abs(w) ** 3))
+        w = np.array([[0.5 + 0.5j, -1.0 + 0j]])
+        want = np.array([[f.eval(complex(x)) for x in w.ravel()]])
+        assert np.allclose(f.values(w), want, rtol=1e-15, atol=0.0)
+
+        sym = _make_inv_kernel_symbol(WeightParams(1.0, 4.0),
+                                      DEFAULT_SERIES_TOL, DEFAULT_MAX_TERMS)
+        evaluate = sym.eval_array
+        seen = []
+
+        def eval_array(r):
+            seen.append(r.size)
+            return evaluate(r)
+
+        sym.eval_array = eval_array
+        r = np.array([0.0, 0.5, 2.0])
+        assert np.array_equal(sym.values(r), evaluate(r))
+        assert seen == [3]
+
 
 class TestAtZero:
     def test_unit_symbol_any_params(self):
@@ -48,9 +74,11 @@ class TestAtZero:
         for m in (1.0, 2.0, 3.0, 4.0, 6.0):
             for a in (0.5, 1.0, 2.0):
                 for d in (0.0, 0.5, 1.0, 4.0):
-                    res = berezin_at_zero(WeightParams(a, m), ExpSymbol(d))
                     want = (a / (a + d)) ** (2.0 / m)
-                    assert abs(res.value - want) / want <= 1e-10
+                    # radial route, then the 2-D polar route at z = 0
+                    for f in (ExpSymbol(d), ExpSymbol(d).as_planar(m)):
+                        res = berezin_at_zero(WeightParams(a, m), f)
+                        assert abs(res.value - want) / want <= 1e-10
 
     def test_odd_angular_symbol_vanishes(self):
         f = PlanarSymbol(lambda w: math.cos(math.atan2(w.imag, w.real)) if w else 0.0,
@@ -153,6 +181,15 @@ class TestGeneral:
         res = berezin_general(p, f, complex(0.8, -0.3), tol_rel=1e-9)
         assert abs(res.value) <= 1.0 + res.abs_error_estimate
         assert res.value >= -res.abs_error_estimate
+
+    @pytest.mark.parametrize("bad", [math.nan, 5.0])
+    @pytest.mark.parametrize("kind", [RadialSymbol, PlanarSymbol])
+    def test_rejects_bad_symbol_values(self, kind, bad):
+        # NaN, or a value above the declared sup bound 1
+        f = kind(lambda x: bad, 1.0, eval_array=lambda x: np.full(x.shape, bad))
+        with pytest.raises(ValueError):
+            berezin_general(WeightParams(1.0, 2.0), f, complex(0.7, -0.4),
+                            max_levels=2)
 
     def test_rejects_bad_symbol_type(self):
         with pytest.raises(TypeError):
