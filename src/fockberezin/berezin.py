@@ -5,7 +5,10 @@ Two independent routes are provided:
 * a fast series route for radial symbols (berezin_exp_radial), exact for
   the exponential test family f_delta(z) = exp(-delta |z|^m);
 * a 2-D polar quadrature route for arbitrary bounded symbols
-  (berezin_general), radial exp-sinh times angular trapezoid.
+  (berezin_general), radial exp-sinh times angular trapezoid.  The kernel
+  factor |S|^2 is evaluated at every angular node: on each circle the
+  nodes form one DFT of the folded series, summed by one FFT
+  (special.CircleSeries).
 
 berezin_at_zero sends radial symbols straight to the radial quadrature and
 planar symbols through the 2-D polar route at z = 0, where the kernel
@@ -32,8 +35,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, WeightParams,
-                      kernel_series, log_series_grid, series_abs2_grid)
+from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, CircleSeries,
+                      WeightParams, kernel_series, log_series_grid)
+# bench/tracing.py wraps this module attribute; the 2-D route no longer calls it
+from .special import series_abs2_grid  # noqa: F401
 from .quadrature import (DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_ABS,
                          DEFAULT_QUAD_TOL_REL, QuadResult, RadialSymbol,
                          _check_bound, _run_de_pair, integrate_radial)
@@ -167,6 +172,12 @@ class _KernelWeightedAverage:
     """Angular mean of f(w) |S(z conj(w))|^2 over the circle |w| = rho, by
     trapezoid node doubling; every batch of f values is bound-checked.
 
+    Each log_values call builds the scaled series terms of all its circles
+    once (CircleSeries); every doubling level then evaluates |S|^2 at each
+    of its nodes by one FFT per circle.  A radius whose angular rule is
+    still unmet at _NMAX nodes sets capped, which berezin_general reports
+    as converged=False.
+
     Values are returned in sign/log form, rescaled per radius by the largest
     |S|^2 on the circle, so magnitudes far outside double range stay exact.
     """
@@ -185,14 +196,20 @@ class _KernelWeightedAverage:
         self.max_terms = max_terms
         self.max_rel_err = 0.0
         self.point_evals = 0
+        self.capped = False           # some radius stopped at _NMAX unmet
 
     def log_values(self, rho: np.ndarray):
         """Returns (sign, log_abs) arrays of the angular mean at each radius."""
         rho = np.asarray(rho, dtype=float)
+        circles = None
+        if self.abs_z != 0.0:
+            circles = CircleSeries(self.params, self.abs_z * rho,
+                                   tol=self.series_tol, max_terms=self.max_terms)
         n = self._N0
-        mean, scale_log, amean = self._mean(rho, n, offset=False)
+        mean, scale_log, amean = self._mean(rho, circles, n, offset=False)
         while True:
-            mean_off, scale_off, amean_off = self._mean(rho, n, offset=True)
+            mean_off, scale_off, amean_off = self._mean(rho, circles, n,
+                                                        offset=True)
             # the two half-meshes carry their own rescale; merge on the larger
             both = np.maximum(scale_log, scale_off)
             w_a = np.exp(scale_log - both)
@@ -205,7 +222,10 @@ class _KernelWeightedAverage:
             n *= 2
             ok = diff <= np.maximum(0.25 * self.tol_rel * np.abs(mean),
                                     8.0 * _EPS * np.maximum(amean, 1e-300))
-            if bool(np.all(ok)) or n >= self._NMAX:
+            if bool(np.all(ok)):
+                break
+            if n >= self._NMAX:
+                self.capped = True
                 break
         denom = np.maximum(np.abs(mean), 1e-300)
         self.max_rel_err = max(self.max_rel_err, float(np.max(diff / denom)))
@@ -214,20 +234,20 @@ class _KernelWeightedAverage:
             log_abs = scale_log + np.log(np.abs(mean))
         return sign, log_abs
 
-    def _mean(self, rho, n, *, offset):
-        k = (np.arange(n) + (0.5 if offset else 0.0)) / n
+    def _mean(self, rho, circles, n, *, offset):
+        off = 0.5 if offset else 0.0
+        k = (np.arange(n) + off) / n
         theta = 2.0 * math.pi * k
         self.point_evals += len(rho) * n
-        if self.abs_z == 0.0:
+        if circles is None:
             # S(0) = 1/Gamma(2/m): the kernel factor is constant, no series
             scale = np.full(len(rho), -2.0 * self.params.log_gamma_2m)
             kernel_w = 1.0
         else:
-            s = self.abs_z * rho
-            psi = self.phi_z - theta if self.planar else theta
-            zeta = s[:, None] * np.exp(1j * psi[None, :])
-            log_abs2 = series_abs2_grid(self.params, zeta, tol=self.series_tol,
-                                        max_terms=self.max_terms)
+            # node k sits at arg zeta = phi - theta_k; a radial symbol takes
+            # phi = 0, since its mean over the nodes is the same at -theta_k
+            phi = self.phi_z if self.planar else 0.0
+            log_abs2 = circles.log_abs2(phi - 2.0 * math.pi * off / n, n)
             scale = log_abs2.max(axis=1)
             kernel_w = np.exp(log_abs2 - scale[:, None])
         if self.planar:
@@ -247,9 +267,11 @@ def berezin_general(params: WeightParams, f, z: complex, *,
     """(B f)(z) by 2-D polar quadrature against |S(z conj(w))|^2.
 
     Independent of the radial series route: the kernel factor is evaluated
-    numerically on every angular node and integrated by trapezoid doubling,
-    then radially by the exp-sinh rule.  Raises ValueError when f returns
-    NaN or exceeds its sup_bound.
+    numerically on every angular node, by one FFT of the folded series per
+    circle, and integrated by trapezoid doubling, then radially by the
+    exp-sinh rule.  converged is False when either rule is unmet, the
+    angular one at 8192 nodes.  Raises ValueError when f returns NaN or
+    exceeds its sup_bound.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -278,4 +300,5 @@ def berezin_general(params: WeightParams, f, z: complex, *,
     rel_extra = (avg.max_rel_err + s_z.truncation_error_bound
                  + 2.0 * series_tol)  # angular + normalization + node series
     err = err_s * factor + abs(value) * rel_extra
-    return QuadResult(value, err, avg.point_evals, converged)
+    return QuadResult(value, err, avg.point_evals,
+                      bool(converged) and not avg.capped)

@@ -540,27 +540,9 @@ def _grid_log_abs(params, z, dtype, tol, max_terms):
     ln_tol = math.log(tol)
     for start in range(0, todo.size, _GRID_CHUNK):
         idx = todo[start: start + _GRID_CHUNK]
-        log_t = np.log(abs_z[idx])
-        log_t_max = float(log_t.max())
-        peak, log_s = _peak_index(log_t_max, table.log_moments(66), table,
-                                  max_terms)
-        n_last, log_s = _stop_index(log_t_max, log_s, peak, ln_tol, table,
-                                    max_terms)
-        if n_last >= max_terms:
-            raise NonConvergenceError(
-                f"grid series needs more than {max_terms} terms")
-        n = np.arange(n_last + 1, dtype=float)[:, None]
-        log_terms = n * log_t[None, :] - log_s[: n_last + 1, None]
-        peak_log = log_terms.max(axis=0)
-        e = log_terms - peak_log[None, :]
-        d = log_t[None, :] - np.diff(log_s[: n_last + 2])[:, None]
-        ok = _tail_small(e, d, ln_tol)
-        if not ok.any(axis=0).all():
-            # the stop is monotone in |z|, so only rounding at the edge of
-            # the rule can get here; summing short would be silently wrong
-            raise RuntimeError("grid series: an entry stops past the rows "
-                               "set by the largest entry of its chunk")
-        stop = (ok.argmax(axis=0), np.arange(idx.size))
+        n, e, peak_log, stop = _chunk_terms(table, np.log(abs_z[idx]), ln_tol,
+                                            max_terms)
+        stop = (stop, np.arange(idx.size))
         terms = np.exp(e)
         if dtype is float:
             log_sum = np.log(np.cumsum(terms, axis=0)[stop])
@@ -571,3 +553,93 @@ def _grid_log_abs(params, z, dtype, tol, max_terms):
                 tot.real * tot.real + tot.imag * tot.imag, _ABS2_FLOOR))
         out[idx] = peak_log + log_sum
     return out.reshape(z.shape)
+
+
+def _chunk_terms(table, log_t, ln_tol, max_terms):
+    """The scaled exponents of one chunk of entries with log|z| = log_t.
+
+    The rows n = 0..n_last run to the stop of the chunk's largest entry.
+    Returns (n, e, peak_log, stop): the row indices as a float column,
+    e[n, j] = log|a_n| - peak_log[j] with peak_log[j] the log of entry j's
+    peak term, and stop[j], the first row where entry j meets _tail_small.
+    """
+    log_t_max = float(log_t.max())
+    peak, log_s = _peak_index(log_t_max, table.log_moments(66), table,
+                              max_terms)
+    n_last, log_s = _stop_index(log_t_max, log_s, peak, ln_tol, table,
+                                max_terms)
+    if n_last >= max_terms:
+        raise NonConvergenceError(
+            f"grid series needs more than {max_terms} terms")
+    n = np.arange(n_last + 1, dtype=float)[:, None]
+    log_terms = n * log_t[None, :] - log_s[: n_last + 1, None]
+    peak_log = log_terms.max(axis=0)
+    e = log_terms - peak_log[None, :]
+    d = log_t[None, :] - np.diff(log_s[: n_last + 2])[:, None]
+    ok = _tail_small(e, d, ln_tol)
+    if not ok.any(axis=0).all():
+        # the stop is monotone in |z|, so only rounding at the edge of
+        # the rule can get here; summing short would be silently wrong
+        raise RuntimeError("grid series: an entry stops past the rows "
+                           "set by the largest entry of its chunk")
+    return n, e, peak_log, ok.argmax(axis=0)
+
+
+class CircleSeries:
+    """log|S|^2 on equispaced nodes of circles |zeta| = s, by one FFT each.
+
+    On the nodes zeta_k = s e^(i (phase - 2 pi k / N)), k = 0..N-1,
+
+        S(zeta_k) = sum_j c_j e^(-2 pi i j k / N),
+        c_j = sum_{n = j mod N} a_n s^n e^(i n phase),
+
+    a length-N DFT of the terms twisted by e^(i n phase) and folded mod N.
+    Every node of a circle has the same |zeta|, so the scaled terms, the
+    peak and the stop belong to the radius: they come from the stop rule
+    of the grid engine (_chunk_terms) once, in chunks of _GRID_CHUNK radii,
+    and every call of log_abs2 reuses them.  Rows past a radius's own stop
+    are zeroed, so each circle's values do not depend on its batch mates.
+    Radii whose peak estimate passes _SHORTCIRCUIT_LOG, and s = 0, get the
+    constant log|S| of the dense grid, and every |S|^2 is floored at
+    _ABS2_FLOOR times the squared peak term, as on the dense grid.
+    """
+
+    def __init__(self, params: WeightParams, s, *, tol=DEFAULT_SERIES_TOL,
+                 max_terms=DEFAULT_MAX_TERMS):
+        s = np.asarray(s, dtype=float)
+        if s.ndim != 1 or not np.all(np.isfinite(s)) or np.any(s < 0.0):
+            raise ValueError("circle radii must be a 1-D array, finite and >= 0")
+        table = moment_table(params)
+        peak_est = _peak_log_estimate(params, s)
+        skip = peak_est > _SHORTCIRCUIT_LOG
+        zero = s == 0.0
+        self.size = s.size
+        self.const = np.flatnonzero(skip | zero)
+        self.const_log_abs2 = 2.0 * np.where(skip, peak_est,
+                                             -table.log_moment(0))[self.const]
+        todo = np.flatnonzero(~(skip | zero))
+        ln_tol = math.log(tol)
+        self.chunks = []   # (radius indices, terms (radii, rows), 2 peak_log)
+        for start in range(0, todo.size, _GRID_CHUNK):
+            idx = todo[start: start + _GRID_CHUNK]
+            n, e, peak_log, stop = _chunk_terms(table, np.log(s[idx]), ln_tol,
+                                                max_terms)
+            terms = np.exp(e)
+            terms[n > stop[None, :]] = 0.0
+            self.chunks.append((idx, np.ascontiguousarray(terms.T),
+                                2.0 * peak_log))
+
+    def log_abs2(self, phase, n_nodes):
+        """log|S(s e^(i (phase - 2 pi k / n_nodes)))|^2, shape (radii, n_nodes)."""
+        out = np.empty((self.size, n_nodes))
+        out[self.const] = self.const_log_abs2[:, None]
+        for idx, terms, peak_log2 in self.chunks:
+            rows = terms.shape[1]
+            twisted = terms * np.exp(1j * (phase * np.arange(rows)))
+            folded = twisted[:, :n_nodes]
+            for b in range(n_nodes, rows, n_nodes):
+                folded[:, : rows - b] += twisted[:, b: b + n_nodes]
+            tot = np.fft.fft(folded, n=n_nodes, axis=1)
+            out[idx] = peak_log2[:, None] + np.log(np.maximum(
+                tot.real * tot.real + tot.imag * tot.imag, _ABS2_FLOOR))
+        return out

@@ -88,6 +88,16 @@ class TestAtZero:
         res = berezin_at_zero(WeightParams(1.0, 3.0), f)
         assert abs(res.value) <= 1e-12
 
+    def test_angular_cap_reported(self):
+        # at alpha = 1e-3, m = 1/2 the mass sits at radii ~1e7, where the
+        # step of tanh(Re w) needs more than the 8192 angular nodes the
+        # loop allows; the unmet angular rule must show in converged
+        f = PlanarSymbol(lambda w: 0.5 + 0.5 * math.tanh(w.real), 1.0,
+                         eval_array=lambda w: 0.5 + 0.5 * np.tanh(np.real(w)))
+        res = berezin_at_zero(WeightParams(1e-3, 0.5), f)
+        assert not res.converged
+        assert res.value == pytest.approx(0.5, rel=1e-6)
+
     def test_radial_symbol_direct(self):
         g = RadialSymbol(lambda r: 1.0 / (1.0 + r * r), 1.0,
                          eval_array=lambda r: 1.0 / (1.0 + r * r))

@@ -353,3 +353,91 @@ class TestGridEvaluators:
         # empty input keeps its shape
         assert log_series_grid(p, np.empty((0, 3))).shape == (0, 3)
         assert series_abs2_grid(p, np.empty((2, 0), complex)).shape == (2, 0)
+
+
+class TestCircleSeries:
+    """log|S|^2 on equispaced circle nodes by one FFT per circle."""
+
+    @staticmethod
+    def _nodes(circles, phi, off, n_nodes):
+        return circles.log_abs2(phi - 2.0 * math.pi * off / n_nodes, n_nodes)
+
+    def test_batch_independence(self):
+        """Each circle's values must not depend on its batch mates: whole,
+        split and single-radius batches agree bit for bit on both
+        half-meshes.  The radii are s = 0, 257 summed ones (one alone in
+        the last chunk of the whole batch) and two past the summation
+        cut-off of the peak estimate."""
+        alpha = 1.7
+        for m in (0.5, 1.0, 4.0, 10.0):
+            p = WeightParams(alpha, m)
+            s = np.concatenate([
+                [0.0], np.geomspace(1e-3, (700.0 / alpha) ** (2.0 / m), 257),
+                (np.array([900.0, 2000.0]) / alpha) ** (2.0 / m)])
+            batches = {
+                "whole": [special.CircleSeries(p, s)],
+                "split": [special.CircleSeries(p, x)
+                          for x in (s[:7], s[7:100], s[100:])],
+                "single": [special.CircleSeries(p, s[i:i + 1])
+                           for i in range(s.size)]}
+            for off in (0.0, 0.5):
+                for n_nodes in (16, 64):
+                    got = {name: np.concatenate([
+                        self._nodes(c, 0.4, off, n_nodes) for c in circles])
+                        for name, circles in batches.items()}
+                    whole = got["whole"]
+                    assert np.all(np.isfinite(whole))
+                    assert np.array_equal(whole, got["split"]), (m, off, n_nodes)
+                    assert np.array_equal(whole, got["single"]), (m, off, n_nodes)
+            # s = 0 and the radii past the cut-off take the dense grid's
+            # constant value on every node
+            const = np.r_[0, s.size - 2, s.size - 1]
+            assert np.array_equal(whole[const],
+                                  np.repeat(series_abs2_grid(p, s[const])[:, None],
+                                            64, axis=1))
+
+    def test_matches_dense_grid(self):
+        """The FFT against series_abs2_grid on the same nodes, with the gap
+        scaled by |S(|zeta|)|^2, the largest value on the circle (an offset
+        half-mesh at m = 10 can sit e^-31 below it, at both routes' rounding
+        floor).  Both routes err like the phase rounding n theta of the
+        dense path, so the gate grows with the stop index.  At N = 8192
+        the dense route is run on every 64th node and on the 128 nodes
+        around the circle's maximum, where the gap is largest."""
+        phi = 0.3
+        worst = 0.0
+        for m in (0.5, 1.0, 2.0, 4.0, 10.0):
+            for alpha in (1e-3, 1.0, 1e3):
+                p = WeightParams(alpha, m)
+                # peak indices up to 2000, short of the cut-off 2n/m = 800
+                n_peak = np.array([n for n in (1, 10, 100, 600, 2000)
+                                   if 2.0 * n / m <= 700.0])
+                s = (2.0 * n_peak / (m * alpha)) ** (2.0 / m)
+                circles = special.CircleSeries(p, s)
+                top = 2.0 * log_series_grid(p, s)[:, None]
+                n_stop = np.array([kernel_series(p, float(x)).truncation_terms
+                                   for x in s]) - 1
+                gate = 8.0 * _EPS * math.pi * (n_stop + 1)
+                for n_nodes in (16, 256, 8192):
+                    k = np.arange(n_nodes)
+                    if n_nodes == 8192:
+                        k_top = round(phi * n_nodes / (2.0 * math.pi))
+                        k = np.union1d(k[::64], (k_top + np.arange(-64, 64))
+                                       % n_nodes)
+                    for off in (0.0, 0.5):
+                        fft = self._nodes(circles, phi, off, n_nodes)[:, k]
+                        psi = phi - 2.0 * math.pi * (k + off) / n_nodes
+                        dense = series_abs2_grid(
+                            p, s[:, None] * np.exp(1j * psi)[None, :])
+                        gap = np.abs(np.exp(fft - top)
+                                     - np.exp(dense - top)).max(axis=1)
+                        worst = max(worst, float(np.max(gap / gate)))
+        assert worst <= 1.0
+
+    def test_rejects_bad_radii(self):
+        p = WeightParams(1.0, 2.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                special.CircleSeries(p, np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            special.CircleSeries(p, np.ones((2, 2)))
