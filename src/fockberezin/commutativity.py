@@ -25,11 +25,11 @@ from .berezin import berezin_exp_radial_grid
 from .errors import NonConvergenceError
 from .quadrature import (DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_ABS,
                          DEFAULT_QUAD_TOL_REL, QuadResult, RadialSymbol,
-                         integrate_radial_log)
+                         integrate_radial_log, integrate_radial_log_powers)
 from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, WeightParams,
                       log_series_grid, moment_table)
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 DEFAULT_KAPPA = 10.0
@@ -89,12 +89,23 @@ class IdentityCheck:
     passed: bool
 
 
+# U(n) is computed in fixed blocks [B (n // B), B (n // B) + B) of this size,
+# all from one exp-sinh run (quadrature._DESum), so a value never depends on
+# which n was asked for first.
+_U_BLOCK = 32
+
+
 class UCache:
     """Shared memo for U values and the 1/S node caches.
 
-    Values are pure functions of (alpha, beta, m, n) and the tolerance knobs,
-    and every cached entry is computed by a batching-independent summation,
-    so concurrent callers always observe identical floats.
+    A miss computes the whole fixed block of _U_BLOCK values around n
+    (_u_compute) and stores every row; a row whose quadrature did not
+    converge is stored as its NonConvergenceError, raised only when that n
+    is asked for.  Blocks are computed under the cache's lock, so
+    concurrent callers never repeat one.  Values are pure functions of
+    (alpha, beta, m, n) and the tolerance knobs, and every cached entry is
+    computed by a batching-independent summation, so all callers observe
+    identical floats whatever the order of their requests.
     """
 
     def __init__(self, *, series_tol=DEFAULT_SERIES_TOL,
@@ -106,9 +117,11 @@ class UCache:
         self.quad_tol_rel = quad_tol_rel
         self.quad_tol_abs = quad_tol_abs
         self.quad_max_levels = quad_max_levels
-        self._u: dict[tuple[float, float, float, int], UValue] = {}
+        self._u: dict[tuple[float, float, float, int],
+                      UValue | NonConvergenceError] = {}
         self._symbols: dict[tuple[float, float], RadialSymbol] = {}
-        self._lock = threading.Lock()
+        # reentrant: a block computation asks inv_kernel_symbol for 1/S
+        self._lock = threading.RLock()
 
     def inv_kernel_symbol(self, alpha: float, m: float) -> RadialSymbol:
         key = (alpha, m)
@@ -124,9 +137,16 @@ class UCache:
         key = (alpha, beta, m, n)
         val = self._u.get(key)
         if val is None:
-            val = _u_compute(alpha, beta, m, n, self)
             with self._lock:
-                val = self._u.setdefault(key, val)
+                val = self._u.get(key)
+                if val is None:
+                    n0 = _U_BLOCK * (n // _U_BLOCK)
+                    for i, v in enumerate(_u_compute(alpha, beta, m, n0, self)):
+                        self._u[(alpha, beta, m, n0 + i)] = v
+                    val = self._u[key]
+        if isinstance(val, NonConvergenceError):
+            raise NonConvergenceError(str(val), partial=val.partial,
+                                      error_bound=val.error_bound)
         return val
 
 
@@ -175,24 +195,39 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
                         eval_array=eval_array)
 
 
-def _u_compute(alpha, beta, m, n, cache: UCache) -> UValue:
+def _u_compute(alpha, beta, m, n0, cache: UCache):
+    """U(n) for n = n0 .. n0 + _U_BLOCK - 1, moments of one radial measure,
+    from one exp-sinh run over their shared nodes.  A row whose quadrature
+    did not converge holds its NonConvergenceError instead of a UValue."""
     g = cache.inv_kernel_symbol(alpha, m)
-    log_int, sign, rel, evals, converged = integrate_radial_log(
-        g, beta, m, 2.0 * n + 1.0, tol_rel=cache.quad_tol_rel,
+    ns = range(n0, n0 + _U_BLOCK)
+    rows, _ = integrate_radial_log_powers(
+        g, beta, m, [2.0 * n + 1.0 for n in ns], tol_rel=cache.quad_tol_rel,
         tol_abs=cache.quad_tol_abs, max_levels=cache.quad_max_levels)
-    if not converged:
-        with np.errstate(over="ignore"):
-            partial = float(np.exp(log_int)) * sign
-        raise NonConvergenceError(
-            f"U({alpha},{beta},m={m},n={n}) quadrature did not converge",
-            partial=partial, error_bound=rel)
     params = WeightParams(alpha, m)
-    # log Gamma((2n+2)/m) recovered from the moment table entry
-    lg_gamma = moment_table(params).log_moment(n) + (2.0 * n / m) * params.log_alpha
-    log_u = _LOG_2PI + (4.0 * n / m) * params.log_alpha - lg_gamma + log_int
-    with np.errstate(over="ignore"):
-        value = float(np.exp(log_u))
-    return UValue(n, value, value * rel, log_u, rel)
+    table = moment_table(params)
+    out = []
+    for n, (log_int, sign, rel, converged) in zip(ns, rows):
+        if not converged:
+            with np.errstate(over="ignore"):
+                partial = float(np.exp(log_int)) * sign
+            out.append(NonConvergenceError(
+                f"U({alpha},{beta},m={m},n={n}) quadrature did not converge",
+                partial=partial, error_bound=rel))
+            continue
+        # log Gamma((2n+2)/m) recovered from the moment table entry
+        log_s = table.log_moment(n)
+        lg_gamma = log_s + (2.0 * n / m) * params.log_alpha
+        log_pow = (4.0 * n / m) * params.log_alpha
+        log_u = _LOG_2PI + log_pow - lg_gamma + log_int
+        # rel covers the quadrature; add the rounding of this log sum and
+        # of the terms it is built from, one eps of each operand's size
+        rel += _EPS * (_LOG_2PI + abs(log_pow) + abs(log_s) + abs(lg_gamma)
+                       + abs(log_int) + abs(log_u))
+        with np.errstate(over="ignore"):
+            value = float(np.exp(log_u))
+        out.append(UValue(n, value, value * rel, log_u, rel))
+    return out
 
 
 def u_function(alpha: float, beta: float, m: float, n: int, *,

@@ -9,6 +9,11 @@ the integrable endpoint behaviour at u -> 0 for q < 1 without special cases.
 The transformed integrand is summed on a log scale relative to its running
 peak, so the same engine serves integrals whose magnitude is far outside
 double range (callers needing those use integrate_radial_log).
+
+One engine (_DESum) integrates a ladder of powers at once: the exp-sinh
+nodes do not depend on the power, so g is evaluated once per level for all
+of them (integrate_radial_log_powers; the U(n) of one weight pair are such
+a ladder).  The single-power entry points run it with one power.
 """
 
 from __future__ import annotations
@@ -80,97 +85,144 @@ def _u_window(q):
 
 
 class _DESum:
-    """Exp-sinh trapezoid sums with level doubling and a running log rescale.
+    """Exp-sinh trapezoid sums of one integrand against a ladder of powers,
+    with level doubling and a running log rescale per power.
 
-    g_pair maps an array of radii to (sign, log|g|) so that factors far
-    outside double range never appear in linear form.
+    Row j sums the transformed integrand of u^(q_j - 1) e^-u g(r(u)).  The
+    nodes x_k = A sinh(k h) of a level do not depend on q (Takahasi & Mori,
+    1974), so g_pair, which maps an array of radii to (sign, log|g|) so
+    that factors far outside double range never appear in linear form, runs
+    once per level on the nodes spanning the windows (_u_window) of the
+    rows still refining; the windows of the U(n) of one block overlap, so
+    that span is their union.  Each row counts the nodes outside its own
+    window as exact zeros and keeps its own rescale, sums, error and stop test
+    (_within_tol), in the scalar arithmetic of a single-power run; a row
+    stops refining once it converges.  With one row the nodes and every
+    operation are those of a single-power run.
     """
 
     def __init__(self, q, log_c, m, g_pair, tol_rel, log_tol_abs_scaled,
                  max_levels):
-        self.q = q
+        self.q = np.array(q, dtype=float)
         self.log_c = log_c
         self.m = m
         self.g_pair = g_pair
         self.tol_rel = tol_rel
-        self.log_tol_abs_scaled = log_tol_abs_scaled
+        self.log_tol_abs_scaled = log_tol_abs_scaled   # one per row
         self.max_levels = max_levels
-        _, x_lo, x_hi = _u_window(q)
-        self.t_lo = math.asinh(x_lo / _A)
-        self.t_hi = math.asinh(x_hi / _A)
+        windows = [_u_window(qj) for qj in q]
+        self.t_lo = [math.asinh(x_lo / _A) for _, x_lo, _ in windows]
+        self.t_hi = [math.asinh(x_hi / _A) for _, _, x_hi in windows]
         self.evals = 0
 
-    def _scaled_terms(self, t):
-        """sign and log of the transformed integrand at the nodes."""
+    def _scaled_terms(self, t, q):
+        """sign and log of the transformed integrand at the nodes t for the
+        exponents q, shapes (nodes,) and (len(q), nodes)."""
         x = _A * np.sinh(t)
         u = np.exp(x)
         r = np.exp((x - self.log_c) / self.m)
         sgn, log_g = self.g_pair(r)
         self.evals += len(r)
         w = _A * np.cosh(t)
-        log_f = self.q * x - u + log_g + np.log(w)
-        log_f[sgn == 0.0] = -np.inf
-        return sgn, log_f
+        log_g = np.where(sgn == 0.0, -np.inf, log_g)
+        return sgn, q[:, None] * x - u + log_g + np.log(w)
 
-    def _within_tol(self, err, t_sum, scale):
-        """err meets the absolute tolerance (rescaled to scale) or the
-        relative tolerance on t_sum."""
-        return err <= max(math.exp(min(self.log_tol_abs_scaled - scale, 700.0)),
+    def _within_tol(self, j, err, t_sum, scale):
+        """err of row j meets the absolute tolerance (rescaled to scale) or
+        the relative tolerance on t_sum."""
+        return err <= max(math.exp(min(self.log_tol_abs_scaled[j] - scale,
+                                       700.0)),
                           self.tol_rel * abs(t_sum))
 
     def run(self):
-        scale = None
-        t_sum = a_sum = b_sum = 0.0
-        prev = None
-        err = math.inf
-        converged = False
+        """Per row, a tuple (t_sum, a_sum, scale, err, converged).
+
+        The work on the nodes is vectorized over the rows still refining;
+        their bookkeeping (rescale, sums, stop test) is the scalar
+        arithmetic of one run per row.  A row is dropped from the state
+        once it converges or the levels run out."""
+        rows = list(range(self.q.size))   # the rows still refining
+        q = self.q
+        t_lo, t_hi = self.t_lo, self.t_hi
+        t_sum = [0.0] * len(rows)
+        a_sum = [0.0] * len(rows)
+        b_sum = [0.0] * len(rows)
+        scale = [0.0] * len(rows)
+        err = [math.inf] * len(rows)
+        done = {}
         level = 0
-        while level <= self.max_levels:
+        while level <= self.max_levels and rows:
             h = _H0 / 2.0 ** level
-            k_lo = math.ceil(self.t_lo / h)
-            k_hi = math.floor(self.t_hi / h)
-            if k_hi < k_lo:
-                k_lo = k_hi = 0
-            k = np.arange(k_lo, k_hi + 1)
-            if level > 0:
-                k = k[k % 2 != 0]
-            sgn, log_f = self._scaled_terms(k * h)
-            batch_max = float(log_f.max()) if len(log_f) else -math.inf
-            if scale is None:
-                scale = batch_max if math.isfinite(batch_max) else 0.0
-            elif batch_max > scale:
-                adj = math.exp(scale - batch_max)
-                t_sum *= adj
-                a_sum *= adj
-                b_sum *= adj
-                if prev is not None:
-                    prev *= adj
-                scale = batch_max
-            contrib = sgn * np.exp(log_f - scale)
-            absc = np.abs(contrib)
-            # rounding model: each term's exp() carries ~|exponent| ulps
-            rnd = absc * (3.0 + np.abs(np.where(np.isfinite(log_f),
-                                                log_f - scale, 0.0)))
+            k_lo = [math.ceil(t / h) for t in t_lo]
+            k_hi = [math.floor(t / h) for t in t_hi]
+            for i in range(len(rows)):
+                if k_hi[i] < k_lo[i]:   # no node inside: take the one at 0
+                    k_lo[i] = k_hi[i] = 0
+            lo, hi = min(k_lo), max(k_hi)
             if level == 0:
-                t_sum = h * float(np.sum(contrib))
-                a_sum = h * float(np.sum(absc))
-                b_sum = h * float(np.sum(rnd))
+                k = np.arange(lo, hi + 1)
             else:
-                t_sum = 0.5 * t_sum + h * float(np.sum(contrib))
-                a_sum = 0.5 * a_sum + h * float(np.sum(absc))
-                b_sum = 0.5 * b_sum + h * float(np.sum(rnd))
-            if prev is not None:
-                err = abs(t_sum - prev)
-                converged = level >= 2 and self._within_tol(err, t_sum, scale)
-            prev = t_sum
-            if converged:
-                break
+                k = np.arange(lo + 1 - lo % 2, hi + 1, 2)   # the odd k
+            sgn, log_f = self._scaled_terms(k * h, q)
+            if len(rows) > 1:   # a lone row's window is the whole range
+                first = np.searchsorted(k, k_lo).tolist()
+                stop = np.searchsorted(k, k_hi, side="right").tolist()
+                for i in range(len(rows)):
+                    log_f[i, :first[i]] = -np.inf
+                    log_f[i, stop[i]:] = -np.inf
+            batch_max = log_f.max(axis=1, initial=-np.inf).tolist()
+            for i, top in enumerate(batch_max):
+                if level == 0:
+                    scale[i] = top if math.isfinite(top) else 0.0
+                elif top > scale[i]:
+                    adj = math.exp(scale[i] - top)
+                    t_sum[i] *= adj
+                    a_sum[i] *= adj
+                    b_sum[i] *= adj
+                    scale[i] = top
+            # per node: the term, its modulus, and the rounding model (each
+            # term's exp() carries ~|exponent| ulps)
+            terms = np.empty((3,) + log_f.shape)
+            shift = log_f - np.array(scale)[:, None]
+            np.multiply(sgn, np.exp(shift), out=terms[0])
+            np.abs(terms[0], out=terms[1])
+            np.multiply(terms[1], 3.0 + np.abs(np.where(np.isfinite(log_f),
+                                                        shift, 0.0)),
+                        out=terms[2])
+            t_new, a_new, b_new = (h * terms.sum(axis=2)).tolist()
+            gone = []
+            for i, j in enumerate(rows):
+                converged = False
+                if level == 0:
+                    t_sum[i], a_sum[i], b_sum[i] = t_new[i], a_new[i], b_new[i]
+                else:
+                    prev = t_sum[i]
+                    t_sum[i] = 0.5 * prev + t_new[i]
+                    a_sum[i] = 0.5 * a_sum[i] + a_new[i]
+                    b_sum[i] = 0.5 * b_sum[i] + b_new[i]
+                    err[i] = abs(t_sum[i] - prev)
+                    converged = level >= 2 and self._within_tol(
+                        j, err[i], t_sum[i], scale[i])
+                if converged or level == self.max_levels:
+                    done[j] = (t_sum[i], a_sum[i], b_sum[i], scale[i], err[i],
+                               converged)
+                    gone.append(i)
+            if gone:
+                keep = [i for i in range(len(rows)) if i not in gone]
+                rows, t_lo, t_hi, t_sum, a_sum, b_sum, scale, err = (
+                    [v[i] for i in keep] for v in
+                    (rows, t_lo, t_hi, t_sum, a_sum, b_sum, scale, err))
+                q = q[keep]
             level += 1
-        err = max(err if math.isfinite(err) else 0.0,
-                  _EPS * (8.0 * a_sum + 2.0 * b_sum))
-        if converged:  # the floor may push the estimate past tolerance
-            converged = self._within_tol(err, t_sum, scale)
-        return t_sum, a_sum, scale if scale is not None else 0.0, err, converged
+        out = []
+        for j in range(self.q.size):
+            t, a, b, sc, e, converged = done.get(
+                j, (0.0, 0.0, 0.0, 0.0, math.inf, False))
+            e = max(e if math.isfinite(e) else 0.0, _EPS * (8.0 * a + 2.0 * b))
+            if converged:  # the floor may push the estimate past tolerance
+                converged = self._within_tol(j, e, t, sc)
+            out.append((t, a, sc, e, converged))
+        return out
 
 
 def _check_bound(gv, sup_bound):
@@ -184,19 +236,32 @@ def _check_bound(gv, sup_bound):
             f"(saw {np.max(np.abs(gv))})")
 
 
-def _run_de_pair(g_pair, c, m, power, tol_rel, tol_abs, max_levels):
+def _run_de_pairs(g_pair, c, m, powers, tol_rel, tol_abs, max_levels):
+    """One exp-sinh run for every power in powers.  Returns a list with one
+    (t_sum, a_sum, log_scale, err, converged) per power, and the number of
+    g evaluations."""
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"decay scale c must be positive and finite, got {c!r}")
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError(f"exponent m must be positive and finite, got {m!r}")
-    if power < 0.0:
-        raise ValueError(f"power must be >= 0, got {power!r}")
-    q = (power + 1.0) / m
-    log_pref = -math.log(m) - q * math.log(c)
-    log_tol_abs = (math.log(tol_abs) - log_pref) if tol_abs > 0.0 else -math.inf
+    for power in powers:
+        if power < 0.0:
+            raise ValueError(f"power must be >= 0, got {power!r}")
+    q = [(power + 1.0) / m for power in powers]
+    log_pref = [-math.log(m) - qj * math.log(c) for qj in q]
+    log_tol_abs = [(math.log(tol_abs) - lp) if tol_abs > 0.0 else -math.inf
+                   for lp in log_pref]
     engine = _DESum(q, math.log(c), m, g_pair, tol_rel, log_tol_abs, max_levels)
-    t_sum, a_sum, scale, err, converged = engine.run()
-    return t_sum, a_sum, scale + log_pref, err, engine.evals, converged
+    rows = [(t_sum, a_sum, scale + lp, err, converged) for lp, (
+        t_sum, a_sum, scale, err, converged) in zip(log_pref, engine.run())]
+    return rows, engine.evals
+
+
+def _run_de_pair(g_pair, c, m, power, tol_rel, tol_abs, max_levels):
+    (row,), evals = _run_de_pairs(g_pair, c, m, [power], tol_rel, tol_abs,
+                                  max_levels)
+    t_sum, a_sum, log_scale, err, converged = row
+    return t_sum, a_sum, log_scale, err, evals, converged
 
 
 def _pair_from_symbol(g: RadialSymbol):
@@ -208,11 +273,6 @@ def _pair_from_symbol(g: RadialSymbol):
         return np.sign(gv), log_g
 
     return g_pair
-
-
-def _run_de(g: RadialSymbol, c, m, power, tol_rel, tol_abs, max_levels):
-    return _run_de_pair(_pair_from_symbol(g), c, m, power, tol_rel, tol_abs,
-                        max_levels)
 
 
 def _err_floor(err, t_sum, a_sum, log_scale):
@@ -229,12 +289,33 @@ def integrate_radial(g: RadialSymbol, c: float, m: float, power: float = 0.0, *,
     Never raises on slow convergence: the best value is returned with
     converged=False after max_levels doublings.
     """
-    t_sum, a_sum, log_scale, err, evals, converged = _run_de(
-        g, c, m, power, tol_rel, tol_abs, max_levels)
+    t_sum, a_sum, log_scale, err, evals, converged = _run_de_pair(
+        _pair_from_symbol(g), c, m, power, tol_rel, tol_abs, max_levels)
     err = _err_floor(err, t_sum, a_sum, log_scale)
     with np.errstate(over="ignore"):
         factor = float(np.exp(log_scale))
     return QuadResult(t_sum * factor, err * factor, evals, converged)
+
+
+def integrate_radial_log_powers(g: RadialSymbol, c: float, m: float, powers, *,
+                                tol_rel=DEFAULT_QUAD_TOL_REL,
+                                tol_abs=DEFAULT_QUAD_TOL_ABS,
+                                max_levels=DEFAULT_MAX_LEVELS):
+    """integrate_radial_log for every power in powers, from one exp-sinh
+    run whose nodes all the powers share.  Returns a list with one
+    (log |value|, sign, relative error, converged) per power, and the number
+    of evaluations of g."""
+    rows, evals = _run_de_pairs(_pair_from_symbol(g), c, m, powers, tol_rel,
+                                tol_abs, max_levels)
+    out = []
+    for t_sum, a_sum, log_scale, err, converged in rows:
+        if t_sum == 0.0:
+            out.append((-math.inf, 0.0, math.inf, converged))
+            continue
+        err = _err_floor(err, t_sum, a_sum, log_scale)
+        out.append((log_scale + math.log(abs(t_sum)), math.copysign(1.0, t_sum),
+                    err / abs(t_sum), converged))
+    return out, evals
 
 
 def integrate_radial_log(g: RadialSymbol, c: float, m: float, power: float = 0.0, *,
@@ -242,13 +323,10 @@ def integrate_radial_log(g: RadialSymbol, c: float, m: float, power: float = 0.0
                          max_levels=DEFAULT_MAX_LEVELS):
     """Like integrate_radial but in log form, for results far outside
     double range: returns (log |value|, sign, relative error, evals, converged)."""
-    t_sum, a_sum, log_scale, err, evals, converged = _run_de(
-        g, c, m, power, tol_rel, tol_abs, max_levels)
-    if t_sum == 0.0:
-        return -math.inf, 0.0, math.inf, evals, converged
-    err = _err_floor(err, t_sum, a_sum, log_scale)
-    return (log_scale + math.log(abs(t_sum)), math.copysign(1.0, t_sum),
-            err / abs(t_sum), evals, converged)
+    ((log_value, sign, rel, converged),), evals = integrate_radial_log_powers(
+        g, c, m, [power], tol_rel=tol_rel, tol_abs=tol_abs,
+        max_levels=max_levels)
+    return log_value, sign, rel, evals, converged
 
 
 def radial_moment(c: float, m: float, n: int) -> float:

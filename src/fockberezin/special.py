@@ -517,9 +517,13 @@ def _grid_log_abs(params, z, dtype, tol, max_terms):
     instead of a full summation (their reciprocal underflows double
     precision, which is the only way such values are consumed).  Every
     other entry is summed in index order up to its own stop under
-    _tail_small, rescaled by its own peak term; the rows of each chunk of
-    _GRID_CHUNK entries come from the stop of its largest entry.  So each
-    value depends only on its own entry, not on how callers batch the grid.
+    _tail_small, rescaled by its own peak term.  The rows of a chunk come
+    from the stop of its largest entry, so the summed entries are sorted by
+    |z| and cut into chunks of at most _GRID_CHUNK entries whose continuous
+    peak indices alpha |z|^(m/2) share one octave,
+    floor(log2(alpha |z|^(m/2) + 8)); each entry then gets about the rows
+    it needs.  A column of a chunk depends only on its own entry, so each
+    value is independent of how callers batch the grid and of the chunks.
     """
     z = np.asarray(z, dtype=dtype)
     if not np.all(np.isfinite(z)) or (dtype is float and np.any(z < 0.0)):
@@ -537,9 +541,15 @@ def _grid_log_abs(params, z, dtype, tol, max_terms):
     out[zero] = -table.log_moment(0)
 
     todo = np.flatnonzero(~(skip | zero))
+    todo = todo[np.argsort(abs_z[todo], kind="stable")]
+    # octave of the continuous peak index, every index below 8 in one band
+    octave = np.floor(np.log2(
+        params.alpha * np.power(abs_z[todo], params.m / 2.0) + 8.0))
+    bands = np.split(todo, np.flatnonzero(np.diff(octave)) + 1)
+    chunks = [band[start: start + _GRID_CHUNK] for band in bands
+              for start in range(0, band.size, _GRID_CHUNK)]
     ln_tol = math.log(tol)
-    for start in range(0, todo.size, _GRID_CHUNK):
-        idx = todo[start: start + _GRID_CHUNK]
+    for idx in chunks:
         n, e, peak_log, stop = _chunk_terms(table, np.log(abs_z[idx]), ln_tol,
                                             max_terms)
         stop = (stop, np.arange(idx.size))

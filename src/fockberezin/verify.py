@@ -424,8 +424,9 @@ def check_asymptotics(cfg, cache):
 
 def check_scan_determinism(cfg, cache):
     """Scan bytes independent of the cache state and of the delta order
-    (a fresh cache, one warmed by an overlapping scan, reversed deltas), and
-    an exact CSV round trip."""
+    (a fresh cache, one warmed by an overlapping scan, one whose U blocks
+    were first entered above their first row, reversed deltas), and an
+    exact CSV round trip."""
     m_list, deltas = (2.0, 4.0), (0.5, 1.0, 2.0)
     rows = compute_scan(m_list, 1.0, 2.0, deltas, cfg)
     text = rows_to_csv(rows)
@@ -433,12 +434,21 @@ def check_scan_determinism(cfg, cache):
     compute_scan((4.0,), 1.0, 2.0, (1.0, 3.0), cfg, cache=warm)
     warm_same = rows_to_csv(compute_scan(m_list, 1.0, 2.0, deltas, cfg,
                                          cache=warm)) == text
+    # the scan uses U(n) up to n = 90; ask for high n first, top block first
+    high = cache_from_config(cfg)
+    for n in (90, 60, 30):
+        for m in m_list:
+            high.u(1.0, 2.0, m, n)
+            high.u(2.0, 1.0, m, n)
+    high_same = rows_to_csv(compute_scan(m_list, 1.0, 2.0, deltas, cfg,
+                                         cache=high)) == text
     order_same = rows_to_csv(compute_scan(m_list, 1.0, 2.0, deltas[::-1],
                                           cfg)) == text
     roundtrip = parse_csv(text) == rows
-    ok = warm_same and order_same and roundtrip
-    return ok, (f"identical with warm cache: {warm_same}, with reversed deltas: "
-                f"{order_same}, round-trip exact: {roundtrip}")
+    ok = warm_same and high_same and order_same and roundtrip
+    return ok, (f"identical with warm cache: {warm_same}, with U warmed from "
+                f"high n: {high_same}, with reversed deltas: {order_same}, "
+                f"round-trip exact: {roundtrip}")
 
 
 CHECKS = (

@@ -1,16 +1,20 @@
 """Nested transforms, commutator defects, and the certification probes."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from fockberezin import commutativity
 from fockberezin import (NonConvergenceError, UCache, asymptotic_slopes,
                          defect, derivative_identity_check, lemma1_witness,
                          nested_at_zero, nested_by_composition,
                          tt_identities_m2, u_function)
 from fockberezin._reference import (DEFECT_M4_1_2_D1, NESTED_M4_BWD_2_1_D1,
                                     NESTED_M4_FWD_1_2_D1, U_GAP_M4_12, U_M4)
+from fockberezin.commutativity import _U_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +55,71 @@ class TestUFunction:
             u_function(0.6726370993783255, 0.011614110494925571, 1.5, 161,
                        cache=cache)
         assert ei.value.partial == math.inf
+
+
+class TestULadder:
+    """UCache computes U(n) in fixed blocks of _U_BLOCK, one exp-sinh run
+    per block."""
+
+    def test_m2_closed_form_across_blocks(self):
+        # U(n) = pi alpha^(2n) / (alpha+beta)^(n+1) at m = 2
+        cache = UCache()
+        for alpha, beta in ((1.0, 1.0), (1.0, 3.0), (3.0, 1.0), (0.4, 0.9)):
+            for n in range(3 * _U_BLOCK):
+                u = cache.u(alpha, beta, 2.0, n)
+                want = math.exp(math.log(math.pi) + 2.0 * n * math.log(alpha)
+                                - (n + 1.0) * math.log(alpha + beta))
+                assert abs(u.value - want) <= u.error, (alpha, beta, n)
+
+    def test_first_request_does_not_matter(self):
+        """U(n) has the same bits whichever n of its block is asked for
+        first: alone, in ascending order, or in descending order."""
+        args = (1.3, 0.7, 3.0)
+        filled = UCache()
+        for n in range(48):
+            filled.u(*args, n)
+        assert UCache().u(*args, 37) == filled.u(*args, 37)
+        backward = UCache()
+        for n in reversed(range(48)):
+            assert backward.u(*args, n) == filled.u(*args, n), n
+
+    def test_unconverged_row_raises_only_when_asked(self):
+        args = (0.6726370993783255, 0.011614110494925571, 1.5)
+        assert 160 // _U_BLOCK == 161 // _U_BLOCK
+        cache = UCache()
+        for _ in range(2):
+            with pytest.raises(NonConvergenceError) as ei:
+                cache.u(*args, 161)
+            assert ei.value.partial == math.inf
+            assert f"m={args[2]},n=161)" in str(ei.value)
+        u = cache.u(*args, 160)
+        assert u.n == 160 and u.value > 0.0 and u.rel_error < 1e-11
+
+    def test_threads_compute_a_block_once(self, monkeypatch):
+        computed = []
+        compute = commutativity._u_compute
+
+        def slow_compute(alpha, beta, m, n0, cache):
+            computed.append(n0)
+            time.sleep(0.05)   # keep the block open while the other asks
+            return compute(alpha, beta, m, n0, cache)
+
+        monkeypatch.setattr(commutativity, "_u_compute", slow_compute)
+        cache = UCache()
+        barrier = threading.Barrier(2)
+        got = []
+
+        def ask():
+            barrier.wait()
+            got.append(cache.u(1.1, 0.9, 3.0, 5))
+
+        threads = [threading.Thread(target=ask) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert computed == [0]
+        assert len(got) == 2 and got[0] == got[1]
 
 
 class TestNested:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from fockberezin import (RadialSymbol, integrate_radial, integrate_radial_log,
-                         radial_moment, unit_symbol)
+from fockberezin import (RadialSymbol, UCache, integrate_radial,
+                         integrate_radial_log, radial_moment, unit_symbol)
+from fockberezin.quadrature import _EPS, integrate_radial_log_powers
 
 
 class TestClosedForms:
@@ -89,6 +90,24 @@ class TestLogVariant:
         log_val, sign, rel, _, _ = integrate_radial_log(unit_symbol(), 2.0, 3.0, 4.0)
         lin = integrate_radial(unit_symbol(), 2.0, 3.0, 4.0)
         assert sign * math.exp(log_val) == pytest.approx(lin.value, rel=1e-13)
+
+
+class TestPowerLadder:
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 4.0, 10.0])
+    def test_ladder_matches_one_power_runs(self, m):
+        """The integrals of U(n), n = 0..47 (1/S_alpha(r^2) against
+        r^(2n+1) e^(-beta r^m)), from one run over shared nodes against one
+        run per power: each row counts the nodes outside its own window as
+        zeros, so the sums may differ only by rounding."""
+        g = UCache().inv_kernel_symbol(1.3, m)
+        powers = [2.0 * n + 1.0 for n in range(48)]
+        rows, _ = integrate_radial_log_powers(g, 0.7, m, powers)
+        for power, (log_val, sign, rel, converged) in zip(powers, rows):
+            one_log, one_sign, _, _, one_converged = integrate_radial_log(
+                g, 0.7, m, power)
+            assert converged and one_converged, power
+            assert sign == one_sign == 1.0
+            assert abs(log_val - one_log) <= max(4.0 * _EPS, rel), power
 
 
 class TestValidation:

@@ -316,6 +316,26 @@ class TestGridEvaluators:
                                    for i in range(xs.size)])
                 assert np.array_equal(whole, single), (m, grid.__name__)
 
+    def test_banding_maps_entries_back(self):
+        """The summed entries are sorted by |z| and chunked by the octave of
+        their peak index; every value must land on its own entry.  On a
+        grid spanning 7 decades, a random permutation of it, un-permuted,
+        gives the same bits, and so does each entry alone."""
+        rng = np.random.default_rng(11)
+        for m in (0.5, 2.0, 10.0):
+            p = WeightParams(1.7, m)
+            ts = ((700.0 / p.alpha) ** (2.0 / m)
+                  * 10.0 ** rng.uniform(-7.0, 0.0, 1500))
+            zs = ts * np.exp(1j * rng.uniform(-np.pi, np.pi, ts.size))
+            perm = rng.permutation(ts.size)
+            for grid, xs in ((log_series_grid, ts), (series_abs2_grid, zs)):
+                whole = grid(p, xs)
+                back = np.empty_like(whole)
+                back[perm] = grid(p, xs[perm])
+                assert np.array_equal(whole, back), (m, grid.__name__)
+                for i in perm[:40]:
+                    assert grid(p, xs[i:i + 1])[0] == whole[i], (m, i)
+
     def test_rows_cover_every_entry(self):
         """The rows of a chunk come from its largest entry; every entry must
         meet the stop rule within them (the grids raise otherwise).  Random
