@@ -16,6 +16,8 @@ size ~1e5 would lose the low bits that the scaled sum actually needs).
 Every summation, scalar or grid, follows one stop rule: it ends at the first
 n past the peak term where the geometric tail bound |a_n| rho_n / (1 - rho_n),
 with rho_n = |a_{n+1} / a_n|, is at most tol * e^-8 relative to the peak term.
+The grids sum chunks of entries laid out (entries, rows), and test the rule
+only on the rows from the chunk's smallest peak on.
 """
 
 from __future__ import annotations
@@ -516,14 +518,14 @@ def _grid_log_abs(params, z, dtype, tol, max_terms):
     Entries whose peak estimate exceeds _SHORTCIRCUIT_LOG get that estimate
     instead of a full summation (their reciprocal underflows double
     precision, which is the only way such values are consumed).  Every
-    other entry is summed in index order up to its own stop under
-    _tail_small, rescaled by its own peak term.  The rows of a chunk come
-    from the stop of its largest entry, so the summed entries are sorted by
-    |z| and cut into chunks of at most _GRID_CHUNK entries whose continuous
-    peak indices alpha |z|^(m/2) share one octave,
-    floor(log2(alpha |z|^(m/2) + 8)); each entry then gets about the rows
-    it needs.  A column of a chunk depends only on its own entry, so each
-    value is independent of how callers batch the grid and of the chunks.
+    other entry is summed in index order (a cumsum along its row of the
+    chunk's terms) up to its own stop under _tail_small, rescaled by its
+    own peak term.  The rows of a chunk come from the stop of its largest
+    entry, so the summed entries are sorted by |z| and cut into chunks of
+    at most _GRID_CHUNK entries whose continuous peak indices
+    alpha |z|^(m/2) share one octave, floor(log2(alpha |z|^(m/2) + 8));
+    each entry then gets about the rows it needs.  An entry's row depends
+    only on the entry, so each value is independent of the batch.
     """
     z = np.asarray(z, dtype=dtype)
     if not np.all(np.isfinite(z)) or (dtype is float and np.any(z < 0.0)):
@@ -552,13 +554,14 @@ def _grid_log_abs(params, z, dtype, tol, max_terms):
     for idx in chunks:
         n, e, peak_log, stop = _chunk_terms(table, np.log(abs_z[idx]), ln_tol,
                                             max_terms)
-        stop = (stop, np.arange(idx.size))
+        stop = (np.arange(idx.size), stop)
         terms = np.exp(e)
         if dtype is float:
-            log_sum = np.log(np.cumsum(terms, axis=0)[stop])
+            log_sum = np.log(np.cumsum(terms, axis=1)[stop])
         else:
-            terms = terms * np.exp(1j * (n * np.angle(flat[idx])[None, :]))
-            tot = np.cumsum(terms, axis=0)[stop]
+            terms = terms * np.exp(1j * np.multiply.outer(np.angle(flat[idx]),
+                                                          n))
+            tot = np.cumsum(terms, axis=1)[stop]
             log_sum = 0.5 * np.log(np.maximum(
                 tot.real * tot.real + tot.imag * tot.imag, _ABS2_FLOOR))
         out[idx] = peak_log + log_sum
@@ -569,9 +572,12 @@ def _chunk_terms(table, log_t, ln_tol, max_terms):
     """The scaled exponents of one chunk of entries with log|z| = log_t.
 
     The rows n = 0..n_last run to the stop of the chunk's largest entry.
-    Returns (n, e, peak_log, stop): the row indices as a float column,
-    e[n, j] = log|a_n| - peak_log[j] with peak_log[j] the log of entry j's
-    peak term, and stop[j], the first row where entry j meets _tail_small.
+    Returns (n, e, peak_log, stop): the rows as floats, shape (rows,);
+    e[j, n] = log|a_n| - peak_log[j], shape (entries, rows), with
+    peak_log[j] the log of entry j's peak term; and stop[j], the first row
+    where entry j meets _tail_small.  The rule is tested only from the first
+    row n with s_(n+1) / s_n >= min |z| (the comparison of _peak_index) on:
+    earlier rows precede every entry's peak, where the rule is False.
     """
     log_t_max = float(log_t.max())
     peak, log_s = _peak_index(log_t_max, table.log_moments(66), table,
@@ -581,18 +587,21 @@ def _chunk_terms(table, log_t, ln_tol, max_terms):
     if n_last >= max_terms:
         raise NonConvergenceError(
             f"grid series needs more than {max_terms} terms")
-    n = np.arange(n_last + 1, dtype=float)[:, None]
-    log_terms = n * log_t[None, :] - log_s[: n_last + 1, None]
-    peak_log = log_terms.max(axis=0)
-    e = log_terms - peak_log[None, :]
-    d = log_t[None, :] - np.diff(log_s[: n_last + 2])[:, None]
-    ok = _tail_small(e, d, ln_tol)
-    if not ok.any(axis=0).all():
+    n = np.arange(n_last + 1, dtype=float)
+    e = np.multiply.outer(log_t, n)
+    e -= log_s[: n_last + 1]
+    peak_log = e.max(axis=1)
+    e -= peak_log[:, None]
+    dlog_s = np.diff(log_s[: n_last + 2])
+    first = int(np.argmax(dlog_s >= log_t.min()))
+    ok = _tail_small(e[:, first:], np.subtract.outer(log_t, dlog_s[first:]),
+                     ln_tol)
+    if not ok.any(axis=1).all():
         # the stop is monotone in |z|, so only rounding at the edge of
         # the rule can get here; summing short would be silently wrong
         raise RuntimeError("grid series: an entry stops past the rows "
                            "set by the largest entry of its chunk")
-    return n, e, peak_log, ok.argmax(axis=0)
+    return n, e, peak_log, first + ok.argmax(axis=1)
 
 
 class CircleSeries:
@@ -606,9 +615,10 @@ class CircleSeries:
     a length-N DFT of the terms twisted by e^(i n phase) and folded mod N.
     Every node of a circle has the same |zeta|, so the scaled terms, the
     peak and the stop belong to the radius: they come from the stop rule
-    of the grid engine (_chunk_terms) once, in chunks of _GRID_CHUNK radii,
-    and every call of log_abs2 reuses them.  Rows past a radius's own stop
-    are zeroed, so each circle's values do not depend on its batch mates.
+    of the grid engine (_chunk_terms) once, in chunks of _GRID_CHUNK radii
+    and in its (radii, rows) layout, and every call of log_abs2 reuses
+    them.  Rows past a radius's own stop are zeroed, so each circle's
+    values do not depend on its batch mates.
     Radii whose peak estimate passes _SHORTCIRCUIT_LOG, and s = 0, get the
     constant log|S| of the dense grid, and every |S|^2 is floored at
     _ABS2_FLOOR times the squared peak term, as on the dense grid.
@@ -635,9 +645,8 @@ class CircleSeries:
             n, e, peak_log, stop = _chunk_terms(table, np.log(s[idx]), ln_tol,
                                                 max_terms)
             terms = np.exp(e)
-            terms[n > stop[None, :]] = 0.0
-            self.chunks.append((idx, np.ascontiguousarray(terms.T),
-                                2.0 * peak_log))
+            terms[n > stop[:, None]] = 0.0
+            self.chunks.append((idx, terms, 2.0 * peak_log))
 
     def log_abs2(self, phase, n_nodes):
         """log|S(s e^(i (phase - 2 pi k / n_nodes)))|^2, shape (radii, n_nodes)."""

@@ -352,6 +352,32 @@ class TestGridEvaluators:
             series_abs2_grid(p, ts * np.exp(1j * rng.uniform(-np.pi, np.pi,
                                                               ts.size)))
 
+    def test_chunk_stops_match_scalar_path(self):
+        """_chunk_terms tests the stop rule only from the chunk's smallest
+        peak on; every entry must still stop where kernel_series stops.
+        Chunks of one octave of peak index over 7 decades, plus entries
+        whose series stops at its peak term 0 and runs of entries a few
+        ulps apart."""
+        rng = np.random.default_rng(29)
+        ln_tol = math.log(special.DEFAULT_SERIES_TOL)
+        for m in (0.5, 2.0, 10.0):
+            p = WeightParams(1.7, m)
+            table = special.moment_table(p)
+            ts = ((700.0 / p.alpha) ** (2.0 / m)
+                  * 10.0 ** rng.uniform(-7.0, 0.0, 400))
+            ulps = _EPS * np.arange(-3.0, 4.0)
+            ts = np.concatenate([ts, [1e-40, 3e-35], ts[0] * (1.0 + ulps),
+                                 ts[1] * (1.0 + ulps)])
+            octave = np.floor(np.log2(p.alpha * ts ** (m / 2.0) + 8.0))
+            for band in np.unique(octave):
+                t = np.sort(ts[octave == band])
+                stop = special._chunk_terms(table, np.log(t), ln_tol,
+                                            special.DEFAULT_MAX_TERMS)[3]
+                want = [kernel_series(p, float(x)).truncation_terms - 1
+                        for x in t]
+                assert stop.tolist() == want, (m, band)
+            assert kernel_series(p, 1e-40).truncation_terms == 1
+
     def test_abs2_grid_against_scalar(self):
         p = WeightParams(1.0, 3.0)
         rng = np.random.default_rng(5)
