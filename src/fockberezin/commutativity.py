@@ -191,8 +191,9 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
                 state = (new_keys[~dup], new_vals[~dup])
         return out
 
+    # 1/S_alpha(r^2) ~ r^(m-2) e^(-alpha r^m) (diagonal kernel asymptotics)
     return RadialSymbol(lambda x: float(eval_array(np.array([x]))[0]), sup,
-                        eval_array=eval_array)
+                        eval_array=eval_array, decay=params.alpha)
 
 
 def _u_compute(alpha, beta, m, n0, cache: UCache):
@@ -254,7 +255,9 @@ def nested_at_zero(alpha: float, beta: float, m: float, delta: float, *,
     alpha is the inner transform's weight scale, beta the outer one.  The
     term ratio settles to (alpha/(delta+alpha))^{2/m} times the drift of the
     U sequence, observed live; the tail is bounded by the last term times
-    rho/(1-rho) for the clipped observed ratio rho.
+    rho/(1-rho) for the clipped observed ratio rho.  The series stops only
+    while its last three terms fall, and raises NonConvergenceError once it
+    reaches max_terms.
     """
     _validate_scales(alpha, beta, m)
     if not (isinstance(delta, (int, float)) and math.isfinite(delta) and delta >= 0):
@@ -289,8 +292,10 @@ def nested_at_zero(alpha: float, beta: float, m: float, delta: float, *,
         if n >= 1:
             ratios.append(math.exp(log_terms[-1] - log_terms[-2]))
         if n >= 3:
-            rho = min(max(ratios[-3:]), 0.98)
-            if t <= cache.series_tol * partial * (1.0 - rho):
+            top = max(ratios[-3:])
+            rho = min(top, 0.98)
+            # growing terms say nothing about the tail: never stop on them
+            if top < 1.0 and t <= cache.series_tol * partial * (1.0 - rho):
                 small_streak += 1
                 if small_streak >= 2:
                     break

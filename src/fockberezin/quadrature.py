@@ -35,6 +35,7 @@ _A = math.pi / 2.0     # exp-sinh steepness
 _H0 = 0.5              # level-0 mesh in the transformed variable
 _LOG_WINDOW = 760.0    # keep nodes whose integrand is within e^-760 of the peak
 _EPS = np.finfo(float).eps
+_FLOOR_ULPS = 16.0     # a row's rounding floor, in eps of sum_k h |t_k| E_k
 
 
 @dataclass
@@ -53,12 +54,16 @@ class RadialSymbol:
 
     eval_array, when provided, must evaluate a whole numpy array of radii;
     otherwise the scalar callable is mapped elementwise.  The declared sup
-    bound is spot-checked on every quadrature node batch.
+    bound is spot-checked on every quadrature node batch.  decay, when
+    positive, states that the symbol falls like exp(-decay r^m) at large r
+    (up to powers of r); the quadrature then widens each window towards 0,
+    where the integrand's mass moves.
     """
 
     eval: Callable[[float], float]
     sup_bound: float
     eval_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    decay: float = 0.0
 
     def values(self, r: np.ndarray) -> np.ndarray:
         if self.eval_array is not None:
@@ -104,10 +109,18 @@ class _DESum:
     the scalar arithmetic of a single-power run; a row stops refining once
     it converges.  With one row the nodes and every operation are those of
     a single-power run.
+
+    When g itself decays like exp(-decay r^m), the mass of row j sits near
+    (c + decay) r^m = q_j instead of c r^m = q_j, so lo_shift = log(1 +
+    decay/c) lowers every left window edge by that much; the right edges
+    stay, so this only adds nodes.  A row whose level-to-level difference
+    fails to fall by 4x while it lies within the rounding of its terms
+    (_FLOOR_ULPS eps sum_k h |t_k| E_k, E_k the absolute size of node k's
+    exponent) can no longer meet its tolerance and stops, unconverged.
     """
 
     def __init__(self, q, log_c, m, g_pair, tol_rel, log_tol_abs_scaled,
-                 max_levels):
+                 max_levels, lo_shift):
         self.q = np.array(q, dtype=float)
         self.log_c = log_c
         self.m = m
@@ -116,21 +129,27 @@ class _DESum:
         self.log_tol_abs_scaled = log_tol_abs_scaled   # one per row
         self.max_levels = max_levels
         windows = [_u_window(qj) for qj in q]
-        self.t_lo = [math.asinh(x_lo / _A) for _, x_lo, _ in windows]
+        self.t_lo = [math.asinh((x_lo - lo_shift) / _A)
+                     for _, x_lo, _ in windows]
         self.t_hi = [math.asinh(x_hi / _A) for _, _, x_hi in windows]
         self.evals = 0
 
     def _scaled_terms(self, t, q):
         """sign and log of the transformed integrand at the nodes t for the
-        exponents q, shapes (nodes,) and (len(q), nodes)."""
+        exponents q, shapes (nodes,) and (len(q), nodes), and the absolute
+        size |q x| + u + |log g| + |log w| of each exponent, shape
+        (len(q), nodes)."""
         x = _A * np.sinh(t)
         u = np.exp(x)
         r = np.exp((x - self.log_c) / self.m)
         sgn, log_g = self.g_pair(r)
         self.evals += len(r)
-        w = _A * np.cosh(t)
-        log_g = np.where(sgn == 0.0, -np.inf, log_g)
-        return sgn, q[:, None] * x - u + log_g + np.log(w)
+        log_w = np.log(_A * np.cosh(t))
+        live = sgn != 0.0
+        size = np.multiply.outer(q, np.abs(x))
+        size += u + np.abs(np.where(live, log_g, 0.0)) + np.abs(log_w)
+        log_g = np.where(live, log_g, -np.inf)
+        return sgn, q[:, None] * x - u + log_g + log_w, size
 
     def _within_tol(self, j, err, t_sum, scale):
         """err of row j meets the absolute tolerance (rescaled to scale) or
@@ -145,13 +164,15 @@ class _DESum:
         The work on the nodes is vectorized over the rows still refining;
         their bookkeeping (rescale, sums, stop test) is the scalar
         arithmetic of one run per row.  A row is dropped from the state
-        once it converges or the levels run out."""
+        once it converges, reaches its rounding floor or runs out of
+        levels."""
         rows = list(range(self.q.size))   # the rows still refining
         q = self.q
         t_lo, t_hi = self.t_lo, self.t_hi
         t_sum = [0.0] * len(rows)
         a_sum = [0.0] * len(rows)
         b_sum = [0.0] * len(rows)
+        e_sum = [0.0] * len(rows)   # sum_k h |t_k| E_k
         scale = [0.0] * len(rows)
         err = [math.inf] * len(rows)
         done = {}
@@ -168,7 +189,7 @@ class _DESum:
                 k = np.arange(lo, hi + 1)
             else:
                 k = np.arange(lo + 1 - lo % 2, hi + 1, 2)   # the odd k
-            sgn, log_f = self._scaled_terms(k * h, q)
+            sgn, log_f, size = self._scaled_terms(k * h, q)
             if len(rows) > 1:   # a lone row's window is the whole range
                 outside = ((k < np.array(k_lo)[:, None])
                            | (k > np.array(k_hi)[:, None]))
@@ -182,39 +203,46 @@ class _DESum:
                     t_sum[i] *= adj
                     a_sum[i] *= adj
                     b_sum[i] *= adj
+                    e_sum[i] *= adj
                     scale[i] = top
-            # per node: the term, its modulus, and the rounding model (each
-            # term's exp() carries ~|exponent| ulps)
-            terms = np.empty((3,) + log_f.shape)
+            # per node: the term, its modulus, the rounding model (each
+            # term's exp() carries ~|exponent| ulps, counted from the scale),
+            # and the modulus times the absolute size of the exponent
+            terms = np.empty((4,) + log_f.shape)
             shift = log_f - np.array(scale)[:, None]
             np.multiply(sgn, np.exp(shift), out=terms[0])
             np.abs(terms[0], out=terms[1])
             np.multiply(terms[1], 3.0 + np.abs(np.where(np.isfinite(log_f),
                                                         shift, 0.0)),
                         out=terms[2])
-            t_new, a_new, b_new = (h * terms.sum(axis=2)).tolist()
+            np.multiply(terms[1], size, out=terms[3])
+            t_new, a_new, b_new, e_new = (h * terms.sum(axis=2)).tolist()
             gone = []
             for i, j in enumerate(rows):
-                converged = False
+                converged = floor = False
                 if level == 0:
                     t_sum[i], a_sum[i], b_sum[i] = t_new[i], a_new[i], b_new[i]
+                    e_sum[i] = e_new[i]
                 else:
-                    prev = t_sum[i]
+                    prev, prev_err = t_sum[i], err[i]
                     t_sum[i] = 0.5 * prev + t_new[i]
                     a_sum[i] = 0.5 * a_sum[i] + a_new[i]
                     b_sum[i] = 0.5 * b_sum[i] + b_new[i]
+                    e_sum[i] = 0.5 * e_sum[i] + e_new[i]
                     err[i] = abs(t_sum[i] - prev)
                     converged = level >= 2 and self._within_tol(
                         j, err[i], t_sum[i], scale[i])
-                if converged or level == self.max_levels:
+                    floor = (not converged and 4.0 * err[i] > prev_err
+                             and err[i] <= _FLOOR_ULPS * _EPS * e_sum[i])
+                if converged or floor or level == self.max_levels:
                     done[j] = (t_sum[i], a_sum[i], b_sum[i], scale[i], err[i],
                                converged)
                     gone.append(i)
             if gone:
                 keep = [i for i in range(len(rows)) if i not in gone]
-                rows, t_lo, t_hi, t_sum, a_sum, b_sum, scale, err = (
+                rows, t_lo, t_hi, t_sum, a_sum, b_sum, e_sum, scale, err = (
                     [v[i] for i in keep] for v in
-                    (rows, t_lo, t_hi, t_sum, a_sum, b_sum, scale, err))
+                    (rows, t_lo, t_hi, t_sum, a_sum, b_sum, e_sum, scale, err))
                 q = q[keep]
             level += 1
         out = []
@@ -239,10 +267,11 @@ def _check_bound(gv, sup_bound):
             f"(saw {np.max(np.abs(gv))})")
 
 
-def _run_de_pairs(g_pair, c, m, powers, tol_rel, tol_abs, max_levels):
-    """One exp-sinh run for every power in powers.  Returns a list with one
-    (t_sum, a_sum, log_scale, err, converged) per power, and the number of
-    g evaluations."""
+def _run_de_pairs(g_pair, c, m, powers, tol_rel, tol_abs, max_levels,
+                  decay=0.0):
+    """One exp-sinh run for every power in powers, for a g that decays like
+    exp(-decay r^m).  Returns a list with one (t_sum, a_sum, log_scale, err,
+    converged) per power, and the number of g evaluations."""
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"decay scale c must be positive and finite, got {c!r}")
     if not (m > 0.0 and math.isfinite(m)):
@@ -254,15 +283,17 @@ def _run_de_pairs(g_pair, c, m, powers, tol_rel, tol_abs, max_levels):
     log_pref = [-math.log(m) - qj * math.log(c) for qj in q]
     log_tol_abs = [(math.log(tol_abs) - lp) if tol_abs > 0.0 else -math.inf
                    for lp in log_pref]
-    engine = _DESum(q, math.log(c), m, g_pair, tol_rel, log_tol_abs, max_levels)
+    engine = _DESum(q, math.log(c), m, g_pair, tol_rel, log_tol_abs, max_levels,
+                    math.log1p(decay / c))
     rows = [(t_sum, a_sum, scale + lp, err, converged) for lp, (
         t_sum, a_sum, scale, err, converged) in zip(log_pref, engine.run())]
     return rows, engine.evals
 
 
-def _run_de_pair(g_pair, c, m, power, tol_rel, tol_abs, max_levels):
+def _run_de_pair(g_pair, c, m, power, tol_rel, tol_abs, max_levels,
+                 decay=0.0):
     (row,), evals = _run_de_pairs(g_pair, c, m, [power], tol_rel, tol_abs,
-                                  max_levels)
+                                  max_levels, decay)
     t_sum, a_sum, log_scale, err, converged = row
     return t_sum, a_sum, log_scale, err, evals, converged
 
@@ -290,10 +321,12 @@ def integrate_radial(g: RadialSymbol, c: float, m: float, power: float = 0.0, *,
     """Approximate integral_0^inf r^power g(r) exp(-c r^m) dr.
 
     Never raises on slow convergence: the best value is returned with
-    converged=False after max_levels doublings.
+    converged=False after max_levels doublings, or sooner once the
+    estimate stops falling at its rounding floor.
     """
     t_sum, a_sum, log_scale, err, evals, converged = _run_de_pair(
-        _pair_from_symbol(g), c, m, power, tol_rel, tol_abs, max_levels)
+        _pair_from_symbol(g), c, m, power, tol_rel, tol_abs, max_levels,
+        g.decay)
     err = _err_floor(err, t_sum, a_sum, log_scale)
     with np.errstate(over="ignore"):
         factor = float(np.exp(log_scale))
@@ -309,7 +342,7 @@ def integrate_radial_log_powers(g: RadialSymbol, c: float, m: float, powers, *,
     (log |value|, sign, relative error, converged) per power, and the number
     of evaluations of g."""
     rows, evals = _run_de_pairs(_pair_from_symbol(g), c, m, powers, tol_rel,
-                                tol_abs, max_levels)
+                                tol_abs, max_levels, g.decay)
     out = []
     for t_sum, a_sum, log_scale, err, converged in rows:
         if t_sum == 0.0:

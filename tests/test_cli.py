@@ -247,9 +247,9 @@ class TestCliCommands:
 
     def test_nonconvergence_with_overflowing_partial(self, capsys):
         # an unconverged U(n) whose partial value overflows still exits 3
-        rc = main(["defect", "--m", "1.5", "--alpha", "0.011614110494925571",
-                   "--beta", "0.6726370993783255",
-                   "--delta", "0.08197350602425088"])
+        rc = main(["defect", "--m", "4", "--alpha", "0.022364050230578334",
+                   "--beta", "0.9589767112721381",
+                   "--delta", "0.018776000838957044"])
         assert rc == 3
         assert "non-convergence" in capsys.readouterr().err
 

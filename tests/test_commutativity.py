@@ -7,14 +7,16 @@ import time
 import numpy as np
 import pytest
 
-from fockberezin import commutativity
+from fockberezin import commutativity, quadrature
 from fockberezin import (NonConvergenceError, UCache, asymptotic_slopes,
                          defect, derivative_identity_check, lemma1_witness,
                          nested_at_zero, nested_by_composition,
                          tt_identities_m2, u_function)
 from fockberezin._reference import (DEFECT_M4_1_2_D1, NESTED_M4_BWD_2_1_D1,
                                     NESTED_M4_FWD_1_2_D1, U_GAP_M4_12, U_M4)
-from fockberezin.commutativity import _U_BLOCK
+from fockberezin.berezin import ExpSymbol, berezin_general
+from fockberezin.commutativity import _U_BLOCK, UValue
+from fockberezin.special import WeightParams
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +52,10 @@ class TestUFunction:
 
     def test_nonconvergence_partial_overflows_to_inf(self, cache):
         # the unconverged integral's partial value exceeds float range; it
-        # is reported as inf, not raised as an OverflowError
+        # is reported as inf, not raised as an OverflowError (this row stops
+        # at its rounding floor)
         with pytest.raises(NonConvergenceError) as ei:
-            u_function(0.6726370993783255, 0.011614110494925571, 1.5, 161,
+            u_function(0.9589767112721381, 0.022364050230578334, 4.0, 1168,
                        cache=cache)
         assert ei.value.partial == math.inf
 
@@ -71,6 +74,20 @@ class TestULadder:
                                 - (n + 1.0) * math.log(alpha + beta))
                 assert abs(u.value - want) <= u.error, (alpha, beta, n)
 
+    def test_m2_closed_form_inner_scale_dominant(self):
+        # alpha >> beta: the mass sits near (alpha+beta) r^2 = n+1, far left
+        # of beta r^2 = n+1, so the exp-sinh window must follow the decay of
+        # 1/S_alpha; compared in log form, since U(184) at alpha = 100
+        # overflows
+        for alpha, beta in ((100.0, 1.0), (1.0, 0.01)):
+            cache = UCache()
+            for n in (0, 31, 63, 100, 184):
+                u = cache.u(alpha, beta, 2.0, n)
+                want = (math.log(math.pi) + 2.0 * n * math.log(alpha)
+                        - (n + 1.0) * math.log(alpha + beta))
+                assert abs(math.expm1(u.log_value - want)) <= u.rel_error, (
+                    alpha, beta, n)
+
     def test_first_request_does_not_matter(self):
         """U(n) has the same bits whichever n of its block is asked for
         first: alone, in ascending order, or in descending order."""
@@ -84,16 +101,16 @@ class TestULadder:
             assert backward.u(*args, n) == filled.u(*args, n), n
 
     def test_unconverged_row_raises_only_when_asked(self):
-        args = (0.6726370993783255, 0.011614110494925571, 1.5)
-        assert 160 // _U_BLOCK == 161 // _U_BLOCK
+        args = (0.9589767112721381, 0.022364050230578334, 4.0)
+        assert 1149 // _U_BLOCK == 1151 // _U_BLOCK
         cache = UCache()
         for _ in range(2):
             with pytest.raises(NonConvergenceError) as ei:
-                cache.u(*args, 161)
+                cache.u(*args, 1151)
             assert ei.value.partial == math.inf
-            assert f"m={args[2]},n=161)" in str(ei.value)
-        u = cache.u(*args, 160)
-        assert u.n == 160 and u.value > 0.0 and u.rel_error < 1e-11
+            assert f"m={args[2]},n=1151)" in str(ei.value)
+        u = cache.u(*args, 1149)
+        assert u.n == 1149 and u.value > 0.0 and u.rel_error < 1e-11
 
     def test_threads_compute_a_block_once(self, monkeypatch):
         computed = []
@@ -120,6 +137,50 @@ class TestULadder:
             t.join()
         assert computed == [0]
         assert len(got) == 2 and got[0] == got[1]
+
+
+class TestRoundingFloor:
+    """A U row whose level-to-level difference stops falling inside the
+    rounding of its own terms stops refining, unconverged, before
+    max_levels; rows still converging are left alone."""
+
+    @staticmethod
+    def _rows(alpha, beta, m, ns):
+        g = UCache().inv_kernel_symbol(alpha, m)
+        return quadrature.integrate_radial_log_powers(
+            g, beta, m, [2.0 * n + 1.0 for n in ns])
+
+    def test_stops_before_max_levels(self, monkeypatch):
+        args = (0.9589767112721381, 0.022364050230578334, 4.0)
+        block = range(1152, 1152 + _U_BLOCK)
+        rows, block_evals = self._rows(*args, block)
+        (row,), evals = self._rows(*args, [1168])
+        assert not any(r[3] for r in rows) and not row[3]
+        monkeypatch.setattr(quadrature, "_FLOOR_ULPS", 0.0)   # no floor stop
+        _, block_evals_full = self._rows(*args, block)
+        (row_full,), evals_full = self._rows(*args, [1168])
+        assert block_evals < block_evals_full
+        # n = 1168 alone: it stops at level 9 instead of refining to 12
+        assert not row_full[3] and 4 * evals < evals_full
+
+    def test_spares_a_row_still_converging(self, monkeypatch):
+        # level differences 1.7e-1, 6.4e-7, 2.0e-6, 2.8e-14 at n = 16: the
+        # third does not fall 4x, but it is far above the row's rounding
+        args = (92.67044675006838, 2707.9234317226887, 6.0, range(_U_BLOCK))
+        rows, evals = self._rows(*args)
+        monkeypatch.setattr(quadrature, "_FLOOR_ULPS", 0.0)
+        assert self._rows(*args) == (rows, evals)
+        assert rows[16][3]
+
+    def test_single_row_runs_unchanged(self, monkeypatch):
+        def points():
+            return [berezin_general(WeightParams(a, m), ExpSymbol(d), z,
+                                    tol_rel=1e-10)
+                    for a, m, d, z in ((1.3, 1.0, 0.8, 0.9 + 0.4j),
+                                       (0.7, 3.0, 1.6, -0.5 + 1.1j))]
+        got = points()
+        monkeypatch.setattr(quadrature, "_FLOOR_ULPS", 0.0)
+        assert points() == got
 
 
 class TestNested:
@@ -151,6 +212,20 @@ class TestNested:
             nv = nested_at_zero(a, b, m, d, cache=cache)
             comp = nested_by_composition(a, b, m, d)
             assert nv.value == pytest.approx(comp.value, rel=1e-7)
+
+    def test_growing_terms_never_stop(self):
+        """Terms that grow again far below the first one do not end the
+        series, however small they are next to it."""
+        class GrowingU:
+            series_tol = UCache().series_tol
+
+            def u(self, alpha, beta, m, n):
+                log_v = 0.0 if n == 0 else -400.0 + 0.5 * n
+                return UValue(n, math.exp(log_v), 0.0, log_v, 1e-14)
+
+        # alpha + delta = 1, so each term is U(n) itself
+        with pytest.raises(NonConvergenceError):
+            nested_at_zero(0.5, 1.0, 2.0, 0.5, cache=GrowingU(), max_terms=200)
 
     def test_delta_validation(self, cache):
         with pytest.raises(ValueError):
