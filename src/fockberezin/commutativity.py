@@ -30,6 +30,7 @@ from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, WeightParams,
                       log_series_grid, moment_table)
 
 _EPS = float(np.finfo(float).eps)
+INV_KERNEL_SUM_LOG = 2000.0
 _LOG_2PI = math.log(2.0 * math.pi)
 
 DEFAULT_KAPPA = 10.0
@@ -154,16 +155,19 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
     """1/S(r^2) as an array-aware radial symbol with a per-node value cache.
 
     Quadrature node sets for different integrals overlap heavily (they all
-    live on the same dyadic meshes), so values are cached per radius in a
+    live on the same dyadic meshes), so log(1/S) is cached per radius in a
     sorted-key array with vectorized lookup.  Each node's value depends only
     on its own radius, never on batch composition, so cache hits across
-    integrals and threads reproduce identical floats.
+    integrals and threads reproduce identical floats.  eval_log hands the
+    cached logs to the quadrature where 1/S leaves double range; past
+    _SHORTCIRCUIT_LOG they are only bounds (log_series_grid stops summing
+    there and returns a lower bound on log S).
     """
     lock = threading.Lock()
-    state = (np.empty(0), np.empty(0))  # sorted radii, values
+    state = (np.empty(0), np.empty(0))  # sorted radii, log(1/S)
     sup = math.exp(params.log_gamma_2m)  # 1/S <= 1/S(0) = Gamma(2/m)
 
-    def eval_array(r):
+    def log_inv(r):
         nonlocal state
         r = np.asarray(r, dtype=float)
         keys, vals = state
@@ -176,9 +180,9 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
         miss = ~hit
         if miss.any():
             rm = r[miss]
-            logs = log_series_grid(params, rm * rm, tol=series_tol,
-                                   max_terms=max_terms)
-            fresh = np.exp(-logs)
+            fresh = -log_series_grid(params, rm * rm, tol=series_tol,
+                                     max_terms=max_terms,
+                                     sum_below=INV_KERNEL_SUM_LOG)
             out[miss] = fresh
             with lock:
                 keys, vals = state
@@ -191,9 +195,17 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
                 state = (new_keys[~dup], new_vals[~dup])
         return out
 
+    def eval_array(r):
+        return np.exp(log_inv(r))
+
+    def eval_log(r):
+        log_g = log_inv(r)
+        return log_g, log_g >= -INV_KERNEL_SUM_LOG
+
     # 1/S_alpha(r^2) ~ r^(m-2) e^(-alpha r^m) (diagonal kernel asymptotics)
     return RadialSymbol(lambda x: float(eval_array(np.array([x]))[0]), sup,
-                        eval_array=eval_array, decay=params.alpha)
+                        eval_array=eval_array, decay=params.alpha,
+                        eval_log=eval_log)
 
 
 def _u_compute(alpha, beta, m, n0, cache: UCache):

@@ -35,6 +35,7 @@ _A = math.pi / 2.0     # exp-sinh steepness
 _H0 = 0.5              # level-0 mesh in the transformed variable
 _LOG_WINDOW = 760.0    # keep nodes whose integrand is within e^-760 of the peak
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny   # below this a value has lost precision
 _FLOOR_ULPS = 16.0     # a row's rounding floor, in eps of sum_k h |t_k| E_k
 
 
@@ -58,12 +59,21 @@ class RadialSymbol:
     positive, states that the symbol falls like exp(-decay r^m) at large r
     (up to powers of r); the quadrature then widens each window towards 0,
     where the integrand's mass moves.
+
+    eval_log, when provided, gives a positive symbol in log form: for an
+    array of radii, the pair (log g, exact), where exact is False, log g is
+    only an upper bound.  The quadrature uses it at the nodes where the
+    values have left the normal double range, so that a symbol far below
+    it still weighs a large power of r exactly; bounded nodes count
+    against the error, not as zeros.
     """
 
     eval: Callable[[float], float]
     sup_bound: float
     eval_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
     decay: float = 0.0
+    eval_log: Optional[Callable[[np.ndarray],
+                                tuple[np.ndarray, np.ndarray]]] = None
 
     def values(self, r: np.ndarray) -> np.ndarray:
         if self.eval_array is not None:
@@ -105,18 +115,25 @@ class _DESum:
     rows still refining; the windows of the U(n) of one block overlap, so
     that span is their union.  Each row counts the nodes outside its own
     window as exact zeros (one broadcast compare masks them for all rows)
-    and keeps its own rescale, sums, error and stop test (_within_tol), in
-    the scalar arithmetic of a single-power run; a row stops refining once
-    it converges.  With one row the nodes and every operation are those of
-    a single-power run.
+    and keeps its own rescale, sums, error and stop test (_within_tol).
+    The bookkeeping runs elementwise over the rows still refining, so a
+    row's arithmetic is that of a run with it alone; a row stops refining
+    once it converges.
 
     When g itself decays like exp(-decay r^m), the mass of row j sits near
     (c + decay) r^m = q_j instead of c r^m = q_j, so lo_shift = log(1 +
     decay/c) lowers every left window edge by that much; the right edges
-    stay, so this only adds nodes.  A row whose level-to-level difference
-    fails to fall by 4x while it lies within the rounding of its terms
-    (_FLOOR_ULPS eps sum_k h |t_k| E_k, E_k the absolute size of node k's
-    exponent) can no longer meet its tolerance and stops, unconverged.
+    stay, so this only adds nodes.
+
+    Each term's exp() carries about E_k ulps, E_k = |q x_k| + u_k + |log
+    g_k| + |log w_k| the absolute size of node k's exponent, so eps sum_k h
+    |t_k| E_k is a row's rounding floor.  A row whose level-to-level
+    difference fails to fall by 4x while it lies within _FLOOR_ULPS times
+    that floor can no longer meet its tolerance and stops, unconverged.  A
+    node where g_pair gives sign 0 with a finite log|g| has only that
+    bound: its term's bound is summed apart and added to the row's error,
+    and a row whose bounded part alone fails the tolerance stops,
+    unconverged, since refining does not shrink it.
     """
 
     def __init__(self, q, log_c, m, g_pair, tol_rel, log_tol_abs_scaled,
@@ -126,19 +143,21 @@ class _DESum:
         self.m = m
         self.g_pair = g_pair
         self.tol_rel = tol_rel
-        self.log_tol_abs_scaled = log_tol_abs_scaled   # one per row
+        self.log_tol_abs_scaled = np.array(log_tol_abs_scaled, dtype=float)
         self.max_levels = max_levels
         windows = [_u_window(qj) for qj in q]
-        self.t_lo = [math.asinh((x_lo - lo_shift) / _A)
-                     for _, x_lo, _ in windows]
-        self.t_hi = [math.asinh(x_hi / _A) for _, _, x_hi in windows]
+        self.t_lo = np.array([math.asinh((x_lo - lo_shift) / _A)
+                              for _, x_lo, _ in windows])
+        self.t_hi = np.array([math.asinh(x_hi / _A) for _, _, x_hi in windows])
         self.evals = 0
 
     def _scaled_terms(self, t, q):
-        """sign and log of the transformed integrand at the nodes t for the
-        exponents q, shapes (nodes,) and (len(q), nodes), and the absolute
-        size |q x| + u + |log g| + |log w| of each exponent, shape
-        (len(q), nodes)."""
+        """At the nodes t: the sign of the transformed integrand, shape
+        (nodes,); its log for the exponents q, shape (len(q), nodes); |x|
+        and u + |log g| + |log w|, which make up the absolute size E of each
+        exponent, shape (nodes,); and the log of each term's bound at the
+        bounded nodes (-inf elsewhere), shape (len(q), nodes), or None when
+        no node is bounded."""
         x = _A * np.sinh(t)
         u = np.exp(x)
         r = np.exp((x - self.log_c) / self.m)
@@ -146,114 +165,122 @@ class _DESum:
         self.evals += len(r)
         log_w = np.log(_A * np.cosh(t))
         live = sgn != 0.0
-        size = np.multiply.outer(q, np.abs(x))
-        size += u + np.abs(np.where(live, log_g, 0.0)) + np.abs(log_w)
+        rest = u + np.abs(np.where(live, log_g, 0.0)) + np.abs(log_w)
+        bounded = ~live & (log_g > -np.inf)
+        log_b = None
+        if bounded.any():
+            log_b = q[:, None] * x - u + np.where(bounded, log_g,
+                                                  -np.inf) + log_w
         log_g = np.where(live, log_g, -np.inf)
-        return sgn, q[:, None] * x - u + log_g + log_w, size
+        return sgn, q[:, None] * x - u + log_g + log_w, np.abs(x), rest, log_b
 
-    def _within_tol(self, j, err, t_sum, scale):
-        """err of row j meets the absolute tolerance (rescaled to scale) or
-        the relative tolerance on t_sum."""
-        return err <= max(math.exp(min(self.log_tol_abs_scaled[j] - scale,
-                                       700.0)),
-                          self.tol_rel * abs(t_sum))
+    def _within_tol(self, err, t_sum, e_sum, scale, log_tol_abs):
+        """Per row: err meets the relative tolerance on t_sum, or it is down
+        to the rounding of the row's terms (e_sum) and meets the absolute
+        tolerance (rescaled to scale).  The absolute tolerance alone would
+        pass any row whose nodes miss the integrand's mass: its sum then sits
+        far below the tolerance while being far from the value."""
+        with np.errstate(over="ignore"):
+            tol_abs = np.exp(np.minimum(log_tol_abs - scale, 700.0))
+        return (err <= self.tol_rel * np.abs(t_sum)) | (
+            (err <= _FLOOR_ULPS * _EPS * e_sum) & (err <= tol_abs))
 
     def run(self):
         """Per row, a tuple (t_sum, a_sum, scale, err, converged).
 
-        The work on the nodes is vectorized over the rows still refining;
-        their bookkeeping (rescale, sums, stop test) is the scalar
-        arithmetic of one run per row.  A row is dropped from the state
-        once it converges, reaches its rounding floor or runs out of
-        levels."""
-        rows = list(range(self.q.size))   # the rows still refining
-        q = self.q
-        t_lo, t_hi = self.t_lo, self.t_hi
-        t_sum = [0.0] * len(rows)
-        a_sum = [0.0] * len(rows)
-        b_sum = [0.0] * len(rows)
-        e_sum = [0.0] * len(rows)   # sum_k h |t_k| E_k
-        scale = [0.0] * len(rows)
-        err = [math.inf] * len(rows)
-        done = {}
-        level = 0
-        while level <= self.max_levels and rows:
+        The work on the nodes and the bookkeeping (rescale, sums, stop
+        test) are vectorized over the rows still refining.  A row is
+        dropped from the state once it converges, reaches its rounding
+        floor, is swamped by its bounded nodes or runs out of levels."""
+        n_rows = self.q.size
+        idx = np.arange(n_rows)   # the rows still refining
+        q, t_lo, t_hi = self.q, self.t_lo, self.t_hi
+        log_tol = self.log_tol_abs_scaled
+        # per row: t_sum, a_sum, e_sum = sum_k h |t_k| E_k, x_sum = the
+        # terms' bounds at the bounded nodes, scale, err
+        state = np.zeros((6, n_rows))
+        state[4] = -math.inf   # no term seen yet
+        state[5] = math.inf
+        done = state.copy()
+        done_converged = np.zeros(n_rows, dtype=bool)
+        for level in range(self.max_levels + 1):
             h = _H0 / 2.0 ** level
-            k_lo = [math.ceil(t / h) for t in t_lo]
-            k_hi = [math.floor(t / h) for t in t_hi]
-            for i in range(len(rows)):
-                if k_hi[i] < k_lo[i]:   # no node inside: take the one at 0
-                    k_lo[i] = k_hi[i] = 0
-            lo, hi = min(k_lo), max(k_hi)
+            k_lo = np.ceil(t_lo / h)
+            k_hi = np.floor(t_hi / h)
+            empty = k_hi < k_lo   # no node inside: take the one at 0
+            k_lo[empty] = 0.0
+            k_hi[empty] = 0.0
+            lo, hi = int(k_lo.min()), int(k_hi.max())
             if level == 0:
                 k = np.arange(lo, hi + 1)
             else:
                 k = np.arange(lo + 1 - lo % 2, hi + 1, 2)   # the odd k
-            sgn, log_f, size = self._scaled_terms(k * h, q)
-            if len(rows) > 1:   # a lone row's window is the whole range
-                outside = ((k < np.array(k_lo)[:, None])
-                           | (k > np.array(k_hi)[:, None]))
+            sgn, log_f, abs_x, rest, log_b = self._scaled_terms(k * h, q)
+            if idx.size > 1:   # a lone row's window is the whole range
+                outside = (k < k_lo[:, None]) | (k > k_hi[:, None])
                 log_f[outside] = -np.inf
-            batch_max = log_f.max(axis=1, initial=-np.inf).tolist()
-            for i, top in enumerate(batch_max):
-                if level == 0:
-                    scale[i] = top if math.isfinite(top) else 0.0
-                elif top > scale[i]:
-                    adj = math.exp(scale[i] - top)
-                    t_sum[i] *= adj
-                    a_sum[i] *= adj
-                    b_sum[i] *= adj
-                    e_sum[i] *= adj
-                    scale[i] = top
-            # per node: the term, its modulus, the rounding model (each
-            # term's exp() carries ~|exponent| ulps, counted from the scale),
-            # and the modulus times the absolute size of the exponent
-            terms = np.empty((4,) + log_f.shape)
-            shift = log_f - np.array(scale)[:, None]
-            np.multiply(sgn, np.exp(shift), out=terms[0])
-            np.abs(terms[0], out=terms[1])
-            np.multiply(terms[1], 3.0 + np.abs(np.where(np.isfinite(log_f),
-                                                        shift, 0.0)),
-                        out=terms[2])
-            np.multiply(terms[1], size, out=terms[3])
-            t_new, a_new, b_new, e_new = (h * terms.sum(axis=2)).tolist()
-            gone = []
-            for i, j in enumerate(rows):
-                converged = floor = False
-                if level == 0:
-                    t_sum[i], a_sum[i], b_sum[i] = t_new[i], a_new[i], b_new[i]
-                    e_sum[i] = e_new[i]
-                else:
-                    prev, prev_err = t_sum[i], err[i]
-                    t_sum[i] = 0.5 * prev + t_new[i]
-                    a_sum[i] = 0.5 * a_sum[i] + a_new[i]
-                    b_sum[i] = 0.5 * b_sum[i] + b_new[i]
-                    e_sum[i] = 0.5 * e_sum[i] + e_new[i]
-                    err[i] = abs(t_sum[i] - prev)
-                    converged = level >= 2 and self._within_tol(
-                        j, err[i], t_sum[i], scale[i])
-                    floor = (not converged and 4.0 * err[i] > prev_err
-                             and err[i] <= _FLOOR_ULPS * _EPS * e_sum[i])
-                if converged or floor or level == self.max_levels:
-                    done[j] = (t_sum[i], a_sum[i], b_sum[i], scale[i], err[i],
-                               converged)
-                    gone.append(i)
-            if gone:
-                keep = [i for i in range(len(rows)) if i not in gone]
-                rows, t_lo, t_hi, t_sum, a_sum, b_sum, e_sum, scale, err = (
-                    [v[i] for i in keep] for v in
-                    (rows, t_lo, t_hi, t_sum, a_sum, b_sum, e_sum, scale, err))
-                q = q[keep]
-            level += 1
-        out = []
-        for j in range(self.q.size):
-            t, a, b, sc, e, converged = done.get(
-                j, (0.0, 0.0, 0.0, 0.0, math.inf, False))
-            e = max(e if math.isfinite(e) else 0.0, _EPS * (8.0 * a + 2.0 * b))
-            if converged:  # the floor may push the estimate past tolerance
-                converged = self._within_tol(j, e, t, sc)
-            out.append((t, a, sc, e, converged))
-        return out
+                if log_b is not None:
+                    log_b[outside] = -np.inf
+            t_sum, a_sum, e_sum, x_sum, scale, err = state
+            # the scale follows the largest term or bound seen so far
+            top = log_f.max(axis=1, initial=-np.inf)
+            if log_b is not None:
+                top = np.maximum(top, log_b.max(axis=1))
+            up = top > scale
+            if up.any():
+                state[:4, up] *= np.exp(scale[up] - top[up])
+                scale[up] = top[up]
+            ref = np.where(scale > -np.inf, scale, 0.0)[:, None]
+            # per node: the term and its modulus; the modulus against the
+            # absolute size E of the exponent gives the rounding floor
+            terms = sgn * np.exp(log_f - ref)
+            mod = np.abs(terms)
+            new = np.empty((4, idx.size))
+            new[0] = terms.sum(axis=1)
+            new[1] = mod.sum(axis=1)
+            new[2] = q * (mod @ abs_x) + mod @ rest
+            new[3] = 0.0
+            if log_b is not None:
+                new[3] = np.exp(log_b - ref).sum(axis=1)
+            new *= h
+            converged = np.zeros(idx.size, dtype=bool)
+            floor = blind = converged
+            if level == 0:
+                state[:4] = new
+            else:
+                prev, prev_err = t_sum.copy(), err.copy()
+                state[:4] *= 0.5
+                state[:4] += new
+                err[:] = np.abs(t_sum - prev)
+                if level >= 2:
+                    converged = self._within_tol(err + x_sum, t_sum, e_sum,
+                                                 scale, log_tol)
+                    blind = (x_sum > 0.0) & ~self._within_tol(
+                        x_sum, t_sum, e_sum, scale, log_tol)
+                floor = (~converged & (4.0 * err > prev_err)
+                         & (err <= _FLOOR_ULPS * _EPS * e_sum))
+            stop = converged | floor | blind
+            if level == self.max_levels:
+                stop[:] = True
+            if stop.any():
+                done[:, idx[stop]] = state[:, stop]
+                done_converged[idx[stop]] = converged[stop]
+                keep = ~stop
+                idx, q, t_lo, t_hi, log_tol = (
+                    v[keep] for v in (idx, q, t_lo, t_hi, log_tol))
+                state = state[:, keep]
+                if not idx.size:
+                    break
+        # the error floor: the rounding of the sums and of each exp() (14
+        # ulps of the moduli) plus one ulp of each exponent's size E_k
+        t, a, s, x, sc, e = done
+        e = np.maximum(np.where(np.isfinite(e), e, 0.0),
+                       _EPS * (14.0 * a + s)) + x
+        # the floor may push the estimate past tolerance
+        converged = done_converged & self._within_tol(
+            e, t, s, sc, self.log_tol_abs_scaled)
+        return list(zip(t.tolist(), a.tolist(), sc.tolist(), e.tolist(),
+                        converged.tolist()))
 
 
 def _check_bound(gv, sup_bound):
@@ -267,8 +294,7 @@ def _check_bound(gv, sup_bound):
             f"(saw {np.max(np.abs(gv))})")
 
 
-def _run_de_pairs(g_pair, c, m, powers, tol_rel, tol_abs, max_levels,
-                  decay=0.0):
+def _run_de_pairs(g_pair, c, m, powers, tol_rel, tol_abs, max_levels, decay):
     """One exp-sinh run for every power in powers, for a g that decays like
     exp(-decay r^m).  Returns a list with one (t_sum, a_sum, log_scale, err,
     converged) per power, and the number of g evaluations."""
@@ -276,6 +302,8 @@ def _run_de_pairs(g_pair, c, m, powers, tol_rel, tol_abs, max_levels,
         raise ValueError(f"decay scale c must be positive and finite, got {c!r}")
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError(f"exponent m must be positive and finite, got {m!r}")
+    if not (decay >= 0.0 and math.isfinite(decay)):
+        raise ValueError(f"symbol decay must be finite and >= 0, got {decay!r}")
     for power in powers:
         if power < 0.0:
             raise ValueError(f"power must be >= 0, got {power!r}")
@@ -304,7 +332,13 @@ def _pair_from_symbol(g: RadialSymbol):
         _check_bound(gv, g.sup_bound)
         with np.errstate(divide="ignore"):
             log_g = np.log(np.abs(gv))
-        return np.sign(gv), log_g
+        sgn = np.sign(gv)
+        if g.eval_log is not None:
+            low = np.abs(gv) < _TINY   # zero or subnormal: take the log form
+            if low.any():
+                log_g[low], exact = g.eval_log(r[low])
+                sgn[low] = exact   # sign 0 marks a bound
+        return sgn, log_g
 
     return g_pair
 

@@ -491,9 +491,10 @@ def _peak_log_estimate(params: WeightParams, t):
 
 
 def log_series_grid(params: WeightParams, t, *, tol=DEFAULT_SERIES_TOL,
-                    max_terms=DEFAULT_MAX_TERMS):
-    """log S(t) for an array of t >= 0 (see _grid_log_abs)."""
-    return _grid_log_abs(params, t, float, tol, max_terms)
+                    max_terms=DEFAULT_MAX_TERMS, sum_below=_SHORTCIRCUIT_LOG):
+    """log S(t) for an array of t >= 0 (see _grid_log_abs); entries whose
+    peak estimate passes sum_below get that estimate, a lower bound."""
+    return _grid_log_abs(params, t, float, tol, max_terms, sum_below)
 
 
 def series_abs2_grid(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
@@ -503,21 +504,22 @@ def series_abs2_grid(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
     Accuracy is relative to the largest term, which is the natural scale
     when the values multiply an exponentially small weight.
     """
-    return 2.0 * _grid_log_abs(params, zeta, complex, tol, max_terms)
+    return 2.0 * _grid_log_abs(params, zeta, complex, tol, max_terms,
+                               _SHORTCIRCUIT_LOG)
 
 
 _GRID_CHUNK = 256
 _ABS2_FLOOR = (8.0 * _EPS) ** 2  # rounding noise of a scaled complex sum
 
 
-def _grid_log_abs(params, z, dtype, tol, max_terms):
+def _grid_log_abs(params, z, dtype, tol, max_terms, sum_below):
     """log|S(z)| entry by entry for an array of t >= 0 (dtype float) or of
     complex zeta, with the single-rescale log-domain summation of
     kernel_series.
 
-    Entries whose peak estimate exceeds _SHORTCIRCUIT_LOG get that estimate
-    instead of a full summation (their reciprocal underflows double
-    precision, which is the only way such values are consumed).  Every
+    Entries whose peak estimate exceeds sum_below get that estimate instead
+    of a full summation (at the default _SHORTCIRCUIT_LOG, their reciprocal
+    underflows double precision).  Every
     other entry is summed in index order (a cumsum along its row of the
     chunk's terms) up to its own stop under _tail_small, rescaled by its
     own peak term.  The rows of a chunk come from the stop of its largest
@@ -537,7 +539,7 @@ def _grid_log_abs(params, z, dtype, tol, max_terms):
 
     table = moment_table(params)
     peak_est = _peak_log_estimate(params, abs_z)
-    skip = peak_est > _SHORTCIRCUIT_LOG
+    skip = peak_est > sum_below
     out[skip] = peak_est[skip]
     zero = abs_z == 0.0
     out[zero] = -table.log_moment(0)

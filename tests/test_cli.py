@@ -247,9 +247,8 @@ class TestCliCommands:
 
     def test_nonconvergence_with_overflowing_partial(self, capsys):
         # an unconverged U(n) whose partial value overflows still exits 3
-        rc = main(["defect", "--m", "4", "--alpha", "0.022364050230578334",
-                   "--beta", "0.9589767112721381",
-                   "--delta", "0.018776000838957044"])
+        rc = main(["defect", "--m", "4", "--alpha", "1.075990301847395",
+                   "--beta", "0.020672902749768567", "--delta", "0.004"])
         assert rc == 3
         assert "non-convergence" in capsys.readouterr().err
 

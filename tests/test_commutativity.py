@@ -52,10 +52,10 @@ class TestUFunction:
 
     def test_nonconvergence_partial_overflows_to_inf(self, cache):
         # the unconverged integral's partial value exceeds float range; it
-        # is reported as inf, not raised as an OverflowError (this row stops
-        # at its rounding floor)
+        # is reported as inf, not raised as an OverflowError (the rounding
+        # of this row's exponents alone exceeds the tolerance)
         with pytest.raises(NonConvergenceError) as ei:
-            u_function(0.9589767112721381, 0.022364050230578334, 4.0, 1168,
+            u_function(1.075990301847395, 0.020672902749768567, 4.0, 2240,
                        cache=cache)
         assert ei.value.partial == math.inf
 
@@ -73,6 +73,25 @@ class TestULadder:
                 want = math.exp(math.log(math.pi) + 2.0 * n * math.log(alpha)
                                 - (n + 1.0) * math.log(alpha + beta))
                 assert abs(u.value - want) <= u.error, (alpha, beta, n)
+
+    def test_m2_closed_form_far_inner_scale(self):
+        # alpha/beta >= 1e3: each U either lies within its bound or raises.
+        # Where the mass sits past the summed range of 1/S (alpha r^2 near
+        # 2000 at n = 2000), only a bound on 1/S is known, and the row says
+        # so by raising
+        for alpha, beta, n in ((1e5, 1.0, 100), (1e3, 1.0, 400),
+                               (1e3, 1.0, 600), (1e3, 1e-3, 400),
+                               (1e5, 0.1, 400), (1e3, 10.0, 1000),
+                               (1e5, 1.0, 2000)):
+            want = (math.log(math.pi) + 2.0 * n * math.log(alpha)
+                    - (n + 1.0) * math.log(alpha + beta))
+            try:
+                u = UCache().u(alpha, beta, 2.0, n)
+            except NonConvergenceError:
+                assert n == 2000
+                continue
+            assert abs(math.expm1(u.log_value - want)) <= u.rel_error, (
+                alpha, beta, n)
 
     def test_m2_closed_form_inner_scale_dominant(self):
         # alpha >> beta: the mass sits near (alpha+beta) r^2 = n+1, far left
@@ -101,16 +120,16 @@ class TestULadder:
             assert backward.u(*args, n) == filled.u(*args, n), n
 
     def test_unconverged_row_raises_only_when_asked(self):
-        args = (0.9589767112721381, 0.022364050230578334, 4.0)
-        assert 1149 // _U_BLOCK == 1151 // _U_BLOCK
+        args = (1.075990301847395, 0.020672902749768567, 4.0)
+        assert 2219 // _U_BLOCK == 2221 // _U_BLOCK
         cache = UCache()
         for _ in range(2):
             with pytest.raises(NonConvergenceError) as ei:
-                cache.u(*args, 1151)
+                cache.u(*args, 2221)
             assert ei.value.partial == math.inf
-            assert f"m={args[2]},n=1151)" in str(ei.value)
-        u = cache.u(*args, 1149)
-        assert u.n == 1149 and u.value > 0.0 and u.rel_error < 1e-11
+            assert f"m={args[2]},n=2221)" in str(ei.value)
+        u = cache.u(*args, 2219)
+        assert u.n == 2219 and u.value > 0.0 and u.rel_error < 1e-11
 
     def test_threads_compute_a_block_once(self, monkeypatch):
         computed = []
@@ -151,17 +170,16 @@ class TestRoundingFloor:
             g, beta, m, [2.0 * n + 1.0 for n in ns])
 
     def test_stops_before_max_levels(self, monkeypatch):
-        args = (0.9589767112721381, 0.022364050230578334, 4.0)
+        # at m = 0.5, q = 4n + 4 is near 4,600 and so is the size of each
+        # exponent, whose rounding alone exceeds the tolerance
+        args = (0.01, 1.0, 0.5)
         block = range(1152, 1152 + _U_BLOCK)
-        rows, block_evals = self._rows(*args, block)
-        (row,), evals = self._rows(*args, [1168])
-        assert not any(r[3] for r in rows) and not row[3]
+        rows, evals = self._rows(*args, block)
+        assert not any(r[3] for r in rows)
         monkeypatch.setattr(quadrature, "_FLOOR_ULPS", 0.0)   # no floor stop
-        _, block_evals_full = self._rows(*args, block)
-        (row_full,), evals_full = self._rows(*args, [1168])
-        assert block_evals < block_evals_full
-        # n = 1168 alone: it stops at level 9 instead of refining to 12
-        assert not row_full[3] and 4 * evals < evals_full
+        rows_full, evals_full = self._rows(*args, block)
+        assert not any(r[3] for r in rows_full)
+        assert 1.5 * evals < evals_full
 
     def test_spares_a_row_still_converging(self, monkeypatch):
         # level differences 1.7e-1, 6.4e-7, 2.0e-6, 2.8e-14 at n = 16: the

@@ -92,6 +92,43 @@ class TestLogVariant:
         assert sign * math.exp(log_val) == pytest.approx(lin.value, rel=1e-13)
 
 
+class TestDecayingSymbol:
+    """A symbol exp(-D r^2) with D = 1000 against r^2001 exp(-r^2): the
+    mass sits near r = 1, where the symbol is exp(-1000) and underflows
+    double range."""
+
+    D = 1000.0
+
+    def _symbol(self, exact_below=math.inf, decay=D):
+        d = self.D
+
+        def eval_log(r):
+            log_g = -d * r * r
+            return log_g, -log_g <= exact_below
+
+        return RadialSymbol(lambda r: math.exp(-d * r * r), 1.0,
+                            eval_array=lambda r: np.exp(-d * r * r),
+                            decay=decay, eval_log=eval_log)
+
+    def test_log_form_far_below_double_range(self):
+        log_val, sign, rel, _, converged = integrate_radial_log(
+            self._symbol(), 1.0, 2.0, 2001.0)
+        want = math.lgamma(1001.0) - math.log(2.0) - 1001.0 * math.log(1001.0)
+        assert converged and sign == 1.0
+        assert abs(math.expm1(log_val - want)) <= max(rel, 1e-12)
+
+    def test_bounded_mass_does_not_converge(self):
+        # log g is only an upper bound past D r^2 = 900, below the mass
+        *_, converged = integrate_radial_log(
+            self._symbol(exact_below=900.0), 1.0, 2.0, 2001.0)
+        assert not converged
+
+    @pytest.mark.parametrize("decay", [-1.0, math.nan, math.inf])
+    def test_decay_must_be_finite_and_nonnegative(self, decay):
+        with pytest.raises(ValueError):
+            integrate_radial(self._symbol(decay=decay), 1.0, 2.0, 1.0)
+
+
 class TestPowerLadder:
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 4.0, 10.0])
     def test_ladder_matches_one_power_runs(self, m):
