@@ -93,7 +93,7 @@ class IdentityCheck:
 # U(n) is computed in fixed blocks [B (n // B), B (n // B) + B) of this size,
 # all from one exp-sinh run (quadrature._DESum), so a value never depends on
 # which n was asked for first.
-_U_BLOCK = 32
+_U_BLOCK = 64
 
 
 class UCache:

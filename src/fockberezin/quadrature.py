@@ -34,6 +34,7 @@ DEFAULT_MAX_LEVELS = 12
 _A = math.pi / 2.0     # exp-sinh steepness
 _H0 = 0.5              # level-0 mesh in the transformed variable
 _LOG_WINDOW = 760.0    # keep nodes whose integrand is within e^-760 of the peak
+_LOG_WINDOW_DECAY = 100.0   # the same, for a symbol that declares its decay
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny   # below this a value has lost precision
 _FLOOR_ULPS = 16.0     # a row's rounding floor, in eps of sum_k h |t_k| E_k
@@ -57,8 +58,8 @@ class RadialSymbol:
     otherwise the scalar callable is mapped elementwise.  The declared sup
     bound is spot-checked on every quadrature node batch.  decay, when
     positive, states that the symbol falls like exp(-decay r^m) at large r
-    (up to powers of r); the quadrature then widens each window towards 0,
-    where the integrand's mass moves.
+    (up to powers of r); the quadrature then centres each window where the
+    integrand's mass moves, towards 0.
 
     eval_log, when provided, gives a positive symbol in log form: for an
     array of radii, the pair (log g, exact), where exact is False, log g is
@@ -89,14 +90,14 @@ def unit_symbol() -> RadialSymbol:
 # Cached: U ladders ask for the same q again and again (10 scan sweeps: 1,842
 # distinct q in 84,640 calls).  Bounded: callers may pass any power.
 @lru_cache(maxsize=4096)
-def _u_window(q):
-    """x-range (x = log u) outside which u^q e^-u is below e^-_LOG_WINDOW
-    of its peak value q^q e^-q."""
+def _u_window(q, width):
+    """x-range (x = log u) outside which u^q e^-u is below e^-width of its
+    peak value q^q e^-q."""
     e_peak = q * (math.log(q) - 1.0)
-    x_lo = (e_peak - _LOG_WINDOW) / q - 2.0 / q
-    # right edge: solve u - q log u = _LOG_WINDOW + q - q log q
-    rhs = _LOG_WINDOW + q - q * math.log(q)
-    u = _LOG_WINDOW + 2.0 * q + 10.0
+    x_lo = (e_peak - width) / q - 2.0 / q
+    # right edge: solve u - q log u = width + q - q log q
+    rhs = width + q - q * math.log(q)
+    u = width + 2.0 * q + 10.0
     for _ in range(6):
         u = rhs + q * math.log(u)
     x_hi = min(math.log(u), 708.0)
@@ -115,15 +116,18 @@ class _DESum:
     rows still refining; the windows of the U(n) of one block overlap, so
     that span is their union.  Each row counts the nodes outside its own
     window as exact zeros (one broadcast compare masks them for all rows)
-    and keeps its own rescale, sums, error and stop test (_within_tol).
-    The bookkeeping runs elementwise over the rows still refining, so a
-    row's arithmetic is that of a run with it alone; a row stops refining
-    once it converges.
+    and keeps its own rescale, sums, error and stop test (_tolerance), in
+    the scalar arithmetic of a single-power run; a row stops refining once
+    it converges.
 
-    When g itself decays like exp(-decay r^m), the mass of row j sits near
-    (c + decay) r^m = q_j instead of c r^m = q_j, so lo_shift = log(1 +
-    decay/c) lowers every left window edge by that much; the right edges
-    stay, so this only adds nodes.
+    When g itself decays like exp(-decay r^m), the integrand of row j
+    follows the model u^(q_j - 1) e^-(1 + decay/c) u, whose mass sits near
+    (c + decay) r^m = q_j instead of c r^m = q_j.  Each window is then the
+    model's: shifted down by lo_shift = log(1 + decay/c), and only
+    e^-_LOG_WINDOW_DECAY deep, since it need not allow for an unknown g
+    being small at the mass.  Otherwise the windows reach e^-_LOG_WINDOW
+    below the peak of u^q e^-u, so that g may be down to about e^-720
+    there.
 
     Each term's exp() carries about E_k ulps, E_k = |q x_k| + u_k + |log
     g_k| + |log w_k| the absolute size of node k's exponent, so eps sum_k h
@@ -143,12 +147,14 @@ class _DESum:
         self.m = m
         self.g_pair = g_pair
         self.tol_rel = tol_rel
-        self.log_tol_abs_scaled = np.array(log_tol_abs_scaled, dtype=float)
+        self.log_tol_abs_scaled = log_tol_abs_scaled   # one per row
         self.max_levels = max_levels
-        windows = [_u_window(qj) for qj in q]
-        self.t_lo = np.array([math.asinh((x_lo - lo_shift) / _A)
-                              for _, x_lo, _ in windows])
-        self.t_hi = np.array([math.asinh(x_hi / _A) for _, _, x_hi in windows])
+        width = _LOG_WINDOW_DECAY if lo_shift > 0.0 else _LOG_WINDOW
+        windows = [_u_window(qj, width) for qj in q]
+        self.t_lo = [math.asinh((x_lo - lo_shift) / _A)
+                     for _, x_lo, _ in windows]
+        self.t_hi = [math.asinh((x_hi - lo_shift) / _A)
+                     for _, _, x_hi in windows]
         self.evals = 0
 
     def _scaled_terms(self, t, q):
@@ -163,124 +169,136 @@ class _DESum:
         r = np.exp((x - self.log_c) / self.m)
         sgn, log_g = self.g_pair(r)
         self.evals += len(r)
-        log_w = np.log(_A * np.cosh(t))
+        log_w = np.log(_A * np.cosh(t))   # > 0
         live = sgn != 0.0
-        rest = u + np.abs(np.where(live, log_g, 0.0)) + np.abs(log_w)
-        bounded = ~live & (log_g > -np.inf)
         log_b = None
-        if bounded.any():
-            log_b = q[:, None] * x - u + np.where(bounded, log_g,
-                                                  -np.inf) + log_w
-        log_g = np.where(live, log_g, -np.inf)
+        if live.all():
+            rest = u + np.abs(log_g) + log_w
+        else:
+            bounded = ~live & (log_g > -np.inf)
+            if bounded.any():
+                log_b = q[:, None] * x - u + np.where(bounded, log_g,
+                                                      -np.inf) + log_w
+            rest = u + np.abs(np.where(live, log_g, 0.0)) + log_w
+            log_g = np.where(live, log_g, -np.inf)
         return sgn, q[:, None] * x - u + log_g + log_w, np.abs(x), rest, log_b
 
-    def _within_tol(self, err, t_sum, e_sum, scale, log_tol_abs):
-        """Per row: err meets the relative tolerance on t_sum, or it is down
-        to the rounding of the row's terms (e_sum) and meets the absolute
-        tolerance (rescaled to scale).  The absolute tolerance alone would
-        pass any row whose nodes miss the integrand's mass: its sum then sits
-        far below the tolerance while being far from the value."""
-        with np.errstate(over="ignore"):
-            tol_abs = np.exp(np.minimum(log_tol_abs - scale, 700.0))
-        return (err <= self.tol_rel * np.abs(t_sum)) | (
-            (err <= _FLOOR_ULPS * _EPS * e_sum) & (err <= tol_abs))
+    def _tolerance(self, j, t_sum, e_sum, scale):
+        """The error that meets row j's tolerance: the relative one on t_sum,
+        or, once the error is down to the rounding of the row's terms
+        (e_sum), the absolute one (rescaled to scale).  The absolute
+        tolerance alone would pass any row whose nodes miss the integrand's
+        mass: its sum then sits far below the tolerance while being far
+        from the value."""
+        ref = scale if scale > -math.inf else 0.0
+        tol_abs = math.exp(min(self.log_tol_abs_scaled[j] - ref, 700.0))
+        return max(self.tol_rel * abs(t_sum),
+                   min(_FLOOR_ULPS * _EPS * e_sum, tol_abs))
 
     def run(self):
         """Per row, a tuple (t_sum, a_sum, scale, err, converged).
 
-        The work on the nodes and the bookkeeping (rescale, sums, stop
-        test) are vectorized over the rows still refining.  A row is
-        dropped from the state once it converges, reaches its rounding
-        floor, is swamped by its bounded nodes or runs out of levels."""
-        n_rows = self.q.size
-        idx = np.arange(n_rows)   # the rows still refining
-        q, t_lo, t_hi = self.q, self.t_lo, self.t_hi
-        log_tol = self.log_tol_abs_scaled
-        # per row: t_sum, a_sum, e_sum = sum_k h |t_k| E_k, x_sum = the
-        # terms' bounds at the bounded nodes, scale, err
-        state = np.zeros((6, n_rows))
-        state[4] = -math.inf   # no term seen yet
-        state[5] = math.inf
-        done = state.copy()
-        done_converged = np.zeros(n_rows, dtype=bool)
-        for level in range(self.max_levels + 1):
+        The work on the nodes is vectorized over the rows still refining;
+        their bookkeeping (rescale, sums, stop test) is the scalar
+        arithmetic of one run per row.  A row is dropped from the state
+        once it converges, reaches its rounding floor, is swamped by its
+        bounded nodes or runs out of levels."""
+        rows = list(range(self.q.size))   # the rows still refining
+        q = self.q
+        t_lo, t_hi = self.t_lo, self.t_hi
+        t_sum = [0.0] * len(rows)
+        a_sum = [0.0] * len(rows)
+        e_sum = [0.0] * len(rows)   # sum_k h |t_k| E_k
+        x_sum = [0.0] * len(rows)   # the terms' bounds at the bounded nodes
+        scale = [-math.inf] * len(rows)   # no term seen yet
+        err = [math.inf] * len(rows)
+        done = {}
+        level = 0
+        while level <= self.max_levels and rows:
             h = _H0 / 2.0 ** level
-            k_lo = np.ceil(t_lo / h)
-            k_hi = np.floor(t_hi / h)
-            empty = k_hi < k_lo   # no node inside: take the one at 0
-            k_lo[empty] = 0.0
-            k_hi[empty] = 0.0
-            lo, hi = int(k_lo.min()), int(k_hi.max())
+            k_lo = [math.ceil(t / h) for t in t_lo]
+            k_hi = [math.floor(t / h) for t in t_hi]
+            for i in range(len(rows)):
+                if k_hi[i] < k_lo[i]:   # no node inside: take the one at 0
+                    k_lo[i] = k_hi[i] = 0
+            lo, hi = min(k_lo), max(k_hi)
             if level == 0:
                 k = np.arange(lo, hi + 1)
             else:
                 k = np.arange(lo + 1 - lo % 2, hi + 1, 2)   # the odd k
             sgn, log_f, abs_x, rest, log_b = self._scaled_terms(k * h, q)
-            if idx.size > 1:   # a lone row's window is the whole range
-                outside = (k < k_lo[:, None]) | (k > k_hi[:, None])
+            if len(rows) > 1:   # a lone row's window is the whole range
+                outside = ((k < np.array(k_lo)[:, None])
+                           | (k > np.array(k_hi)[:, None]))
                 log_f[outside] = -np.inf
                 if log_b is not None:
                     log_b[outside] = -np.inf
-            t_sum, a_sum, e_sum, x_sum, scale, err = state
             # the scale follows the largest term or bound seen so far
             top = log_f.max(axis=1, initial=-np.inf)
             if log_b is not None:
                 top = np.maximum(top, log_b.max(axis=1))
-            up = top > scale
-            if up.any():
-                state[:4, up] *= np.exp(scale[up] - top[up])
-                scale[up] = top[up]
-            ref = np.where(scale > -np.inf, scale, 0.0)[:, None]
+            for i, tp in enumerate(top.tolist()):
+                if tp > scale[i]:
+                    adj = math.exp(scale[i] - tp)
+                    t_sum[i] *= adj
+                    a_sum[i] *= adj
+                    e_sum[i] *= adj
+                    x_sum[i] *= adj
+                    scale[i] = tp
+            ref = np.array([sc if sc > -math.inf else 0.0 for sc in scale])
             # per node: the term and its modulus; the modulus against the
             # absolute size E of the exponent gives the rounding floor
-            terms = sgn * np.exp(log_f - ref)
+            terms = sgn * np.exp(log_f - ref[:, None])
             mod = np.abs(terms)
-            new = np.empty((4, idx.size))
-            new[0] = terms.sum(axis=1)
-            new[1] = mod.sum(axis=1)
-            new[2] = q * (mod @ abs_x) + mod @ rest
-            new[3] = 0.0
-            if log_b is not None:
-                new[3] = np.exp(log_b - ref).sum(axis=1)
-            new *= h
-            converged = np.zeros(idx.size, dtype=bool)
-            floor = blind = converged
-            if level == 0:
-                state[:4] = new
+            t_new = (h * terms.sum(axis=1)).tolist()
+            a_new = (h * mod.sum(axis=1)).tolist()
+            e_new = (h * (q * (mod @ abs_x) + mod @ rest)).tolist()
+            if log_b is None:
+                x_new = [0.0] * len(rows)
             else:
-                prev, prev_err = t_sum.copy(), err.copy()
-                state[:4] *= 0.5
-                state[:4] += new
-                err[:] = np.abs(t_sum - prev)
-                if level >= 2:
-                    converged = self._within_tol(err + x_sum, t_sum, e_sum,
-                                                 scale, log_tol)
-                    blind = (x_sum > 0.0) & ~self._within_tol(
-                        x_sum, t_sum, e_sum, scale, log_tol)
-                floor = (~converged & (4.0 * err > prev_err)
-                         & (err <= _FLOOR_ULPS * _EPS * e_sum))
-            stop = converged | floor | blind
-            if level == self.max_levels:
-                stop[:] = True
-            if stop.any():
-                done[:, idx[stop]] = state[:, stop]
-                done_converged[idx[stop]] = converged[stop]
-                keep = ~stop
-                idx, q, t_lo, t_hi, log_tol = (
-                    v[keep] for v in (idx, q, t_lo, t_hi, log_tol))
-                state = state[:, keep]
-                if not idx.size:
-                    break
-        # the error floor: the rounding of the sums and of each exp() (14
-        # ulps of the moduli) plus one ulp of each exponent's size E_k
-        t, a, s, x, sc, e = done
-        e = np.maximum(np.where(np.isfinite(e), e, 0.0),
-                       _EPS * (14.0 * a + s)) + x
-        # the floor may push the estimate past tolerance
-        converged = done_converged & self._within_tol(
-            e, t, s, sc, self.log_tol_abs_scaled)
-        return list(zip(t.tolist(), a.tolist(), sc.tolist(), e.tolist(),
-                        converged.tolist()))
+                x_new = (h * np.exp(log_b - ref[:, None]).sum(axis=1)).tolist()
+            gone = []
+            for i, j in enumerate(rows):
+                converged = floor = blind = False
+                if level == 0:
+                    t_sum[i], a_sum[i], e_sum[i] = t_new[i], a_new[i], e_new[i]
+                    x_sum[i] = x_new[i]
+                else:
+                    prev, prev_err = t_sum[i], err[i]
+                    t_sum[i] = 0.5 * prev + t_new[i]
+                    a_sum[i] = 0.5 * a_sum[i] + a_new[i]
+                    e_sum[i] = 0.5 * e_sum[i] + e_new[i]
+                    x_sum[i] = 0.5 * x_sum[i] + x_new[i]
+                    err[i] = abs(t_sum[i] - prev)
+                    if level >= 2:
+                        tol = self._tolerance(j, t_sum[i], e_sum[i], scale[i])
+                        converged = err[i] + x_sum[i] <= tol
+                        blind = x_sum[i] > tol
+                    floor = (not converged and 4.0 * err[i] > prev_err
+                             and err[i] <= _FLOOR_ULPS * _EPS * e_sum[i])
+                if converged or floor or blind or level == self.max_levels:
+                    done[j] = (t_sum[i], a_sum[i], e_sum[i], x_sum[i],
+                               scale[i], err[i], converged)
+                    gone.append(i)
+            if gone:
+                keep = [i for i in range(len(rows)) if i not in gone]
+                rows, t_lo, t_hi, t_sum, a_sum, e_sum, x_sum, scale, err = (
+                    [v[i] for i in keep] for v in
+                    (rows, t_lo, t_hi, t_sum, a_sum, e_sum, x_sum, scale, err))
+                q = q[keep]
+            level += 1
+        out = []
+        for j in range(self.q.size):
+            t, a, s, x, sc, e, converged = done.get(
+                j, (0.0, 0.0, 0.0, 0.0, -math.inf, math.inf, False))
+            # the error floor: the rounding of the sums and of each exp()
+            # (14 ulps of the moduli) plus one ulp of each exponent's size
+            e = max(e if math.isfinite(e) else 0.0,
+                    _EPS * (14.0 * a + s)) + x
+            # the floor may push the estimate past tolerance
+            converged = converged and e <= self._tolerance(j, t, s, sc)
+            out.append((t, a, sc, e, converged))
+        return out
 
 
 def _check_bound(gv, sup_bound):
