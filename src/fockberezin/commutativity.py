@@ -30,7 +30,10 @@ from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, WeightParams,
                       log_series_grid, moment_table)
 
 _EPS = float(np.finfo(float).eps)
-INV_KERNEL_SUM_LOG = 2000.0
+# log_series_grid sums log S exactly up to here for the 1/S symbol: past the
+# default (800, where 1/S underflows) a U(n) with n in the low thousands
+# still has mass; beyond, the symbol gives only a bound (eval_log)
+_INV_SUM_LOG = 2000.0
 _LOG_2PI = math.log(2.0 * math.pi)
 
 DEFAULT_KAPPA = 10.0
@@ -160,8 +163,8 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
     on its own radius, never on batch composition, so cache hits across
     integrals and threads reproduce identical floats.  eval_log hands the
     cached logs to the quadrature where 1/S leaves double range; past
-    _SHORTCIRCUIT_LOG they are only bounds (log_series_grid stops summing
-    there and returns a lower bound on log S).
+    log S = _INV_SUM_LOG they are only bounds (log_series_grid stops
+    summing there and returns a lower bound on log S).
     """
     lock = threading.Lock()
     state = (np.empty(0), np.empty(0))  # sorted radii, log(1/S)
@@ -182,7 +185,7 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
             rm = r[miss]
             fresh = -log_series_grid(params, rm * rm, tol=series_tol,
                                      max_terms=max_terms,
-                                     sum_below=INV_KERNEL_SUM_LOG)
+                                     sum_below=_INV_SUM_LOG)
             out[miss] = fresh
             with lock:
                 keys, vals = state
@@ -200,7 +203,7 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
 
     def eval_log(r):
         log_g = log_inv(r)
-        return log_g, log_g >= -INV_KERNEL_SUM_LOG
+        return log_g, log_g >= -_INV_SUM_LOG
 
     # 1/S_alpha(r^2) ~ r^(m-2) e^(-alpha r^m) (diagonal kernel asymptotics)
     return RadialSymbol(lambda x: float(eval_array(np.array([x]))[0]), sup,

@@ -297,7 +297,8 @@ class _DESum:
                     _EPS * (14.0 * a + s)) + x
             # the floor may push the estimate past tolerance
             converged = converged and e <= self._tolerance(j, t, s, sc)
-            out.append((t, a, sc, e, converged))
+            # a row that saw no term has t = 0 on any scale
+            out.append((t, a, sc if sc > -math.inf else 0.0, e, converged))
         return out
 
 
