@@ -74,38 +74,24 @@ class TestULadder:
                                 - (n + 1.0) * math.log(alpha + beta))
                 assert abs(u.value - want) <= u.error, (alpha, beta, n)
 
-    def test_m2_closed_form_far_inner_scale(self):
-        # alpha/beta >= 1e3: each U either lies within its bound or raises.
-        # Where the mass sits past the summed range of 1/S (alpha r^2 near
-        # 2000 at n = 2000), only a bound on 1/S is known, and the row says
-        # so by raising
-        for alpha, beta, n in ((1e5, 1.0, 100), (1e3, 1.0, 400),
-                               (1e3, 1.0, 600), (1e3, 1e-3, 400),
-                               (1e5, 0.1, 400), (1e3, 10.0, 1000),
-                               (1e5, 1.0, 2000)):
-            want = (math.log(math.pi) + 2.0 * n * math.log(alpha)
-                    - (n + 1.0) * math.log(alpha + beta))
-            try:
-                u = UCache().u(alpha, beta, 2.0, n)
-            except NonConvergenceError:
-                assert n == 2000
-                continue
-            assert abs(math.expm1(u.log_value - want)) <= u.rel_error, (
-                alpha, beta, n)
-
     def test_m2_closed_form_inner_scale_dominant(self):
         # alpha >> beta: the mass sits near (alpha+beta) r^2 = n+1, far left
         # of beta r^2 = n+1, so the exp-sinh window must follow the decay of
-        # 1/S_alpha; compared in log form, since U(184) at alpha = 100
-        # overflows
-        for alpha, beta in ((100.0, 1.0), (1.0, 0.01)):
-            cache = UCache()
-            for n in (0, 31, 63, 100, 184):
-                u = cache.u(alpha, beta, 2.0, n)
-                want = (math.log(math.pi) + 2.0 * n * math.log(alpha)
-                        - (n + 1.0) * math.log(alpha + beta))
-                assert abs(math.expm1(u.log_value - want)) <= u.rel_error, (
-                    alpha, beta, n)
+        # 1/S_alpha; compared in log form, since U overflows there.  Past the
+        # summed range of 1/S (alpha r^2 near 2000 at n = 2000) only a bound
+        # on 1/S is known, and the row raises
+        cases = [(alpha, beta, n) for alpha, beta in ((100.0, 1.0), (1.0, 0.01))
+                 for n in (0, 31, 63, 100, 184)]
+        cases += [(1e5, 1.0, 100), (1e3, 1.0, 400), (1e3, 1.0, 600),
+                  (1e3, 1e-3, 400), (1e5, 0.1, 400), (1e3, 10.0, 1000)]
+        for alpha, beta, n in cases:
+            u = UCache().u(alpha, beta, 2.0, n)
+            want = (math.log(math.pi) + 2.0 * n * math.log(alpha)
+                    - (n + 1.0) * math.log(alpha + beta))
+            assert abs(math.expm1(u.log_value - want)) <= u.rel_error, (
+                alpha, beta, n)
+        with pytest.raises(NonConvergenceError):
+            UCache().u(1e5, 1.0, 2.0, 2000)
 
     def test_first_request_does_not_matter(self):
         """U(n) has the same bits whichever n of its block is asked for
