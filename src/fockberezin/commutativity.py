@@ -99,17 +99,36 @@ class IdentityCheck:
 _U_BLOCK = 64
 
 
+@dataclass(frozen=True, eq=False)
+class UBlock:
+    """U(n) for n = n0 .. n0 + _U_BLOCK - 1 as read-only arrays, the fields
+    of UValue per row.  A row whose quadrature did not converge holds NaN
+    there, and its NonConvergenceError in failed, keyed by n."""
+
+    n0: int
+    value: np.ndarray
+    error: np.ndarray
+    log_value: np.ndarray
+    rel_error: np.ndarray
+    failed: dict[int, NonConvergenceError]
+
+    def __post_init__(self):
+        for a in (self.value, self.error, self.log_value, self.rel_error):
+            a.flags.writeable = False
+
+
 class UCache:
     """Shared memo for U values and the 1/S node caches.
 
     A miss computes the whole fixed block of _U_BLOCK values around n
-    (_u_compute) and stores every row; a row whose quadrature did not
-    converge is stored as its NonConvergenceError, raised only when that n
-    is asked for.  Blocks are computed under the cache's lock, so
-    concurrent callers never repeat one.  Values are pure functions of
-    (alpha, beta, m, n) and the tolerance knobs, and every cached entry is
-    computed by a batching-independent summation, so all callers observe
-    identical floats whatever the order of their requests.
+    (_u_compute) and stores it as one UBlock of arrays, which block() hands
+    out whole and u() one row at a time; a row whose quadrature did not
+    converge raises its NonConvergenceError only when that n is asked for.
+    Blocks are computed under the cache's lock, so concurrent callers never
+    repeat one.  Values are pure functions of (alpha, beta, m, n) and the
+    tolerance knobs, and every cached entry is computed by a
+    batching-independent summation, so all callers observe identical floats
+    whatever the order of their requests.
     """
 
     def __init__(self, *, series_tol=DEFAULT_SERIES_TOL,
@@ -121,8 +140,7 @@ class UCache:
         self.quad_tol_rel = quad_tol_rel
         self.quad_tol_abs = quad_tol_abs
         self.quad_max_levels = quad_max_levels
-        self._u: dict[tuple[float, float, float, int],
-                      UValue | NonConvergenceError] = {}
+        self._blocks: dict[tuple[float, float, float, int], UBlock] = {}
         self._symbols: dict[tuple[float, float], RadialSymbol] = {}
         # reentrant: a block computation asks inv_kernel_symbol for 1/S
         self._lock = threading.RLock()
@@ -137,21 +155,27 @@ class UCache:
                                                  self.series_tol, self.max_terms))
         return sym
 
-    def u(self, alpha: float, beta: float, m: float, n: int) -> UValue:
-        key = (alpha, beta, m, n)
-        val = self._u.get(key)
-        if val is None:
+    def block(self, alpha: float, beta: float, m: float, n0: int) -> UBlock:
+        """The block of U values that starts at n0, a multiple of _U_BLOCK."""
+        key = (alpha, beta, m, n0)
+        blk = self._blocks.get(key)
+        if blk is None:
             with self._lock:
-                val = self._u.get(key)
-                if val is None:
-                    n0 = _U_BLOCK * (n // _U_BLOCK)
-                    for i, v in enumerate(_u_compute(alpha, beta, m, n0, self)):
-                        self._u[(alpha, beta, m, n0 + i)] = v
-                    val = self._u[key]
-        if isinstance(val, NonConvergenceError):
-            raise NonConvergenceError(str(val), partial=val.partial,
-                                      error_bound=val.error_bound)
-        return val
+                blk = self._blocks.get(key)
+                if blk is None:
+                    blk = self._blocks[key] = _u_compute(alpha, beta, m, n0,
+                                                         self)
+        return blk
+
+    def u(self, alpha: float, beta: float, m: float, n: int) -> UValue:
+        blk = self.block(alpha, beta, m, _U_BLOCK * (n // _U_BLOCK))
+        fail = blk.failed.get(n)
+        if fail is not None:
+            raise NonConvergenceError(str(fail), partial=fail.partial,
+                                      error_bound=fail.error_bound)
+        i = n - blk.n0
+        return UValue(n, float(blk.value[i]), float(blk.error[i]),
+                      float(blk.log_value[i]), float(blk.rel_error[i]))
 
 
 def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
@@ -205,45 +229,42 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
         log_g = log_inv(r)
         return log_g, log_g >= -_INV_SUM_LOG
 
-    # 1/S_alpha(r^2) ~ r^(m-2) e^(-alpha r^m) (diagonal kernel asymptotics)
+    # 1/S_alpha(r^2) ~ (2/m) alpha^((2-m)/m) r^(2-m) e^(-alpha r^m)
+    # (diagonal kernel asymptotics)
     return RadialSymbol(lambda x: float(eval_array(np.array([x]))[0]), sup,
                         eval_array=eval_array, decay=params.alpha,
                         eval_log=eval_log)
 
 
-def _u_compute(alpha, beta, m, n0, cache: UCache):
-    """U(n) for n = n0 .. n0 + _U_BLOCK - 1, moments of one radial measure,
-    from one exp-sinh run over their shared nodes.  A row whose quadrature
-    did not converge holds its NonConvergenceError instead of a UValue."""
+def _u_compute(alpha, beta, m, n0, cache: UCache) -> UBlock:
+    """The UBlock of U(n) for n = n0 .. n0 + _U_BLOCK - 1, moments of one
+    radial measure, from one exp-sinh run over their shared nodes."""
     g = cache.inv_kernel_symbol(alpha, m)
-    ns = range(n0, n0 + _U_BLOCK)
-    rows, _ = integrate_radial_log_powers(
-        g, beta, m, [2.0 * n + 1.0 for n in ns], tol_rel=cache.quad_tol_rel,
+    n = np.arange(n0, n0 + _U_BLOCK, dtype=float)
+    (log_int, sign, rel, converged), _ = integrate_radial_log_powers(
+        g, beta, m, 2.0 * n + 1.0, tol_rel=cache.quad_tol_rel,
         tol_abs=cache.quad_tol_abs, max_levels=cache.quad_max_levels)
     params = WeightParams(alpha, m)
-    table = moment_table(params)
-    out = []
-    for n, (log_int, sign, rel, converged) in zip(ns, rows):
-        if not converged:
-            with np.errstate(over="ignore"):
-                partial = float(np.exp(log_int)) * sign
-            out.append(NonConvergenceError(
-                f"U({alpha},{beta},m={m},n={n}) quadrature did not converge",
-                partial=partial, error_bound=rel))
-            continue
-        # log Gamma((2n+2)/m) recovered from the moment table entry
-        log_s = table.log_moment(n)
-        lg_gamma = log_s + (2.0 * n / m) * params.log_alpha
-        log_pow = (4.0 * n / m) * params.log_alpha
-        log_u = _LOG_2PI + log_pow - lg_gamma + log_int
-        # rel covers the quadrature; add the rounding of this log sum and
-        # of the terms it is built from, one eps of each operand's size
-        rel += _EPS * (_LOG_2PI + abs(log_pow) + abs(log_s) + abs(lg_gamma)
-                       + abs(log_int) + abs(log_u))
-        with np.errstate(over="ignore"):
-            value = float(np.exp(log_u))
-        out.append(UValue(n, value, value * rel, log_u, rel))
-    return out
+    # log Gamma((2n+2)/m) recovered from the moment table entries
+    log_s = moment_table(params).log_moments(n0 + _U_BLOCK)[n0:]
+    lg_gamma = log_s + (2.0 * n / m) * params.log_alpha
+    log_pow = (4.0 * n / m) * params.log_alpha
+    log_u = _LOG_2PI + log_pow - lg_gamma + log_int
+    # the quadrature's rel, plus the rounding of this log sum and of the
+    # terms it is built from, one eps of each operand's size
+    rel_u = rel + _EPS * (_LOG_2PI + np.abs(log_pow) + np.abs(log_s)
+                          + np.abs(lg_gamma) + np.abs(log_int)
+                          + np.abs(log_u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.exp(log_u)
+        partial = np.exp(log_int) * sign
+    failed = {}
+    for i in np.flatnonzero(~converged).tolist():
+        failed[n0 + i] = NonConvergenceError(
+            f"U({alpha},{beta},m={m},n={n0 + i}) quadrature did not converge",
+            partial=partial[i], error_bound=rel[i])
+        value[i] = log_u[i] = rel_u[i] = math.nan
+    return UBlock(n0, value, value * rel_u, log_u, rel_u, failed)
 
 
 def u_function(alpha: float, beta: float, m: float, n: int, *,
@@ -272,7 +293,11 @@ def nested_at_zero(alpha: float, beta: float, m: float, delta: float, *,
     U sequence, observed live; the tail is bounded by the last term times
     rho/(1-rho) for the clipped observed ratio rho.  The series stops only
     while its last three terms fall, and raises NonConvergenceError once it
-    reaches max_terms.
+    reaches max_terms.  It reads U one block at a time (UCache.block) and
+    weighs each block with array operations: term logs, partial sums on a
+    scale carried from block to block (the largest term so far), weighted
+    errors, ratios and the stop test.  An unconverged U(n) raises only if
+    the series reaches n.
     """
     _validate_scales(alpha, beta, m)
     if not (isinstance(delta, (int, float)) and math.isfinite(delta) and delta >= 0):
@@ -281,54 +306,60 @@ def nested_at_zero(alpha: float, beta: float, m: float, delta: float, *,
         cache = UCache()
 
     log_da = math.log(delta + alpha)
-    log_terms = []
-    rels = []
-    scale = None
+    scale = -math.inf
     partial = 0.0
     weighted_rel = 0.0
-    ratios = []
-    small_streak = 0
-    n = 0
+    before = np.empty(0)   # the logs of the (up to) three terms before n0
+    small = False          # whether the term before n0 met the stop test
+    n0 = 0
     while True:
-        u = cache.u(alpha, beta, m, n)
-        lt = -((2.0 * n + 2.0) / m) * log_da + u.log_value
-        log_terms.append(lt)
-        rels.append(u.rel_error)
-        if scale is None:
-            scale = lt
-        elif lt > scale:
-            adj = math.exp(scale - lt)
-            partial *= adj
-            weighted_rel *= adj
-            scale = lt
-        t = math.exp(lt - scale)
-        partial += t
-        weighted_rel += t * u.rel_error
-        if n >= 1:
-            ratios.append(math.exp(log_terms[-1] - log_terms[-2]))
-        if n >= 3:
-            top = max(ratios[-3:])
-            rho = min(top, 0.98)
-            # growing terms say nothing about the tail: never stop on them
-            if top < 1.0 and t <= cache.series_tol * partial * (1.0 - rho):
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
-        if n + 1 >= max_terms:
+        blk = cache.block(alpha, beta, m, n0)
+        # the terms the series may reach in this block: up to max_terms,
+        # and short of the first unconverged U
+        end = min(n0 + _U_BLOCK, max_terms, min(blk.failed, default=math.inf))
+        n = np.arange(n0, end, dtype=float)
+        log_terms = blk.log_value[: n.size] - ((2.0 * n + 2.0) / m) * log_da
+        top = max(scale, log_terms.max(initial=-math.inf))
+        carry = math.exp(scale - top)   # the earlier sums, rescaled to top
+        scale = top
+        t = np.exp(log_terms - top)
+        partials = partial * carry + np.cumsum(t)
+        logs = np.concatenate((before, log_terms))
+        ratios = np.exp(logs[1:] - logs[:-1])
+        # the largest of the last three ratios, for each n >= 3
+        top3 = np.maximum(np.maximum(ratios[:-2], ratios[1:-1]), ratios[2:])
+        rho = np.minimum(top3, 0.98)
+        k = n.size - top3.size   # the terms n < 3 have no test
+        # growing terms say nothing about the tail: never stop on them
+        ok = (top3 < 1.0) & (t[k:] <= cache.series_tol * partials[k:]
+                             * (1.0 - rho))
+        stop = ok & np.concatenate(([small], ok[:-1]))   # two in a row
+        if np.count_nonzero(stop):
+            i = int(stop.argmax())
+            j = k + i
+            weighted_rel = (weighted_rel * carry
+                            + t[: j + 1] @ blk.rel_error[: j + 1])
+            partial, last, rho, n_last = partials[j], t[j], rho[i], n0 + j
+            break
+        if end < min(n0 + _U_BLOCK, max_terms):
+            fail = blk.failed[end]
+            raise NonConvergenceError(str(fail), partial=fail.partial,
+                                      error_bound=fail.error_bound)
+        if end >= max_terms:
             raise NonConvergenceError(
                 f"nested series for (alpha={alpha}, beta={beta}, m={m}, "
                 f"delta={delta}) exceeded {max_terms} terms")
-        n += 1
+        weighted_rel = weighted_rel * carry + t @ blk.rel_error
+        partial = partials[-1]
+        before, small = logs[-3:], bool(ok[-1])
+        n0 += _U_BLOCK
 
-    rho = min(max(ratios[-3:]), 0.98) if ratios else 0.5
-    tail_rel = (t * rho / (1.0 - rho)) / partial
+    tail_rel = (last * rho / (1.0 - rho)) / partial
     log_pref = (math.log(m) + (2.0 / m) * (math.log(alpha) + math.log(beta))
                 - _LOG_2PI - WeightParams(alpha, m).log_gamma_2m)
     value = math.exp(log_pref + scale + math.log(partial))
-    rel_total = weighted_rel / partial + tail_rel + 8.0 * _EPS * (n + 1)
-    return NestedValue(value, value * rel_total, n + 1)
+    rel_total = weighted_rel / partial + tail_rel + 8.0 * _EPS * (n_last + 1)
+    return NestedValue(value, float(value * rel_total), n_last + 1)
 
 
 def defect(alpha: float, beta: float, m: float, delta: float, *,
@@ -346,7 +377,7 @@ def defect(alpha: float, beta: float, m: float, delta: float, *,
     d = forward.value - backward.value
     combined = forward.error_bound + backward.error_bound
     return DefectReport((alpha, beta, m), delta, forward, backward, d,
-                        combined, abs(d) > kappa * combined, kappa)
+                        combined, bool(abs(d) > kappa * combined), kappa)
 
 
 def lemma1_witness(alpha: float, beta: float, m: float, *,

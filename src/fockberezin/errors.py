@@ -1,5 +1,7 @@
 """Exceptions shared across the numerical modules."""
 
+import numbers
+
 
 class NonConvergenceError(RuntimeError):
     """A series or quadrature hit its iteration cap before meeting tolerance.
@@ -10,5 +12,7 @@ class NonConvergenceError(RuntimeError):
 
     def __init__(self, message, partial=None, error_bound=float("inf")):
         super().__init__(message)
-        self.partial = partial
-        self.error_bound = error_bound
+        # numbers as Python floats; a series' partial stays its SeriesValue
+        self.partial = (float(partial) if isinstance(partial, numbers.Real)
+                        else partial)
+        self.error_bound = float(error_bound)

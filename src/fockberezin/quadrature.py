@@ -35,7 +35,7 @@ _A = math.pi / 2.0     # exp-sinh steepness
 _H0 = 0.5              # level-0 mesh in the transformed variable
 _LOG_WINDOW = 760.0    # keep nodes whose integrand is within e^-760 of the peak
 _LOG_WINDOW_DECAY = 100.0   # the same, for a symbol that declares its decay
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _TINY = np.finfo(float).tiny   # below this a value has lost precision
 _FLOOR_ULPS = 16.0     # a row's rounding floor, in eps of sum_k h |t_k| E_k
 
@@ -48,6 +48,12 @@ class QuadResult:
     abs_error_estimate: float
     evaluations: int
     converged: bool
+
+    def __post_init__(self):
+        self.value = float(self.value)
+        self.abs_error_estimate = float(self.abs_error_estimate)
+        self.evaluations = int(self.evaluations)
+        self.converged = bool(self.converged)
 
 
 @dataclass
@@ -104,6 +110,11 @@ def _u_window(q, width):
     return e_peak, x_lo, x_hi
 
 
+# The scale of a row that has seen no term yet: below every term's log, and
+# finite, so that rescaling it needs no special case.
+_NO_TERM = -1e300
+
+
 class _DESum:
     """Exp-sinh trapezoid sums of one integrand against a ladder of powers,
     with level doubling and a running log rescale per power.
@@ -115,10 +126,10 @@ class _DESum:
     once per level on the nodes spanning the windows (_u_window) of the
     rows still refining; the windows of the U(n) of one block overlap, so
     that span is their union.  Each row counts the nodes outside its own
-    window as exact zeros (one broadcast compare masks them for all rows)
-    and keeps its own rescale, sums, error and stop test (_tolerance), in
-    the scalar arithmetic of a single-power run; a row stops refining once
-    it converges.
+    window as exact zeros (one broadcast compare masks them for all rows).
+    The rows' rescales, sums, errors and stop tests (_tolerance) are array
+    operations over the rows still refining, the same for one row as for a
+    block; a row stops refining once it converges.
 
     When g itself decays like exp(-decay r^m), the integrand of row j
     follows the model u^(q_j - 1) e^-(1 + decay/c) u, whose mass sits near
@@ -142,7 +153,7 @@ class _DESum:
 
     def __init__(self, q, log_c, m, g_pair, tol_rel, log_tol_abs_scaled,
                  max_levels, lo_shift):
-        self.q = np.array(q, dtype=float)
+        self.q = q
         self.log_c = log_c
         self.m = m
         self.g_pair = g_pair
@@ -150,11 +161,12 @@ class _DESum:
         self.log_tol_abs_scaled = log_tol_abs_scaled   # one per row
         self.max_levels = max_levels
         width = _LOG_WINDOW_DECAY if lo_shift > 0.0 else _LOG_WINDOW
-        windows = [_u_window(qj, width) for qj in q]
-        self.t_lo = [math.asinh((x_lo - lo_shift) / _A)
-                     for _, x_lo, _ in windows]
-        self.t_hi = [math.asinh((x_hi - lo_shift) / _A)
-                     for _, _, x_hi in windows]
+        # each row's window in t, as (t_lo, -t_hi)
+        self.window = np.array([
+            (math.asinh((x_lo - lo_shift) / _A),
+             -math.asinh((x_hi - lo_shift) / _A))
+            for _, x_lo, x_hi in map(_u_window, q.tolist(),
+                                     [width] * q.size)]).T
         self.evals = 0
 
     def _scaled_terms(self, t, q):
@@ -172,7 +184,7 @@ class _DESum:
         log_w = np.log(_A * np.cosh(t))   # > 0
         live = sgn != 0.0
         log_b = None
-        if live.all():
+        if np.count_nonzero(live) == live.size:
             rest = u + np.abs(log_g) + log_w
         else:
             bounded = ~live & (log_g > -np.inf)
@@ -183,166 +195,162 @@ class _DESum:
             log_g = np.where(live, log_g, -np.inf)
         return sgn, q[:, None] * x - u + log_g + log_w, np.abs(x), rest, log_b
 
-    def _tolerance(self, j, t_sum, e_sum, scale):
-        """The error that meets row j's tolerance: the relative one on t_sum,
-        or, once the error is down to the rounding of the row's terms
-        (e_sum), the absolute one (rescaled to scale).  The absolute
-        tolerance alone would pass any row whose nodes miss the integrand's
-        mass: its sum then sits far below the tolerance while being far
-        from the value."""
-        ref = scale if scale > -math.inf else 0.0
-        tol_abs = math.exp(min(self.log_tol_abs_scaled[j] - ref, 700.0))
-        return max(self.tol_rel * abs(t_sum),
-                   min(_FLOOR_ULPS * _EPS * e_sum, tol_abs))
+    def _tolerance(self, t_sum, floor, scale, log_tol_abs):
+        """The error that meets each row's tolerance: the relative one on
+        t_sum, or, once the error is down to the rounding floor of the
+        row's terms (floor, _FLOOR_ULPS eps e_sum), the absolute one
+        (rescaled to scale).  The absolute tolerance alone would pass any
+        row whose nodes miss the integrand's mass: its sum then sits far
+        below the tolerance while being far from the value."""
+        tol_abs = np.exp(np.minimum(log_tol_abs - scale, 700.0))
+        return np.maximum(self.tol_rel * np.abs(t_sum),
+                          np.minimum(floor, tol_abs))
 
     def run(self):
-        """Per row, a tuple (t_sum, a_sum, scale, err, converged).
+        """Arrays over the rows: t_sum, a_sum, scale, err and converged.
 
-        The work on the nodes is vectorized over the rows still refining;
-        their bookkeeping (rescale, sums, stop test) is the scalar
-        arithmetic of one run per row.  A row is dropped from the state
-        once it converges, reaches its rounding floor, is swamped by its
-        bounded nodes or runs out of levels."""
-        rows = list(range(self.q.size))   # the rows still refining
-        q = self.q
-        t_lo, t_hi = self.t_lo, self.t_hi
-        t_sum = [0.0] * len(rows)
-        a_sum = [0.0] * len(rows)
-        e_sum = [0.0] * len(rows)   # sum_k h |t_k| E_k
-        x_sum = [0.0] * len(rows)   # the terms' bounds at the bounded nodes
-        scale = [-math.inf] * len(rows)   # no term seen yet
-        err = [math.inf] * len(rows)
-        done = {}
+        The rows still refining are the columns of the arrays that follow
+        them through the levels: their index, q, log tol_abs, node range
+        per level and state.  A level rescales, sums and tests all of them
+        with array operations, and drops those that converge, reach their
+        rounding floor, are swamped by their bounded nodes or run out of
+        levels."""
+        n_rows = self.q.size
+        row, q, log_tol_abs = np.arange(n_rows), self.q, self.log_tol_abs_scaled
+        # per level and row, the nodes k h inside the window, as (k_lo,
+        # -k_hi); a window with none takes the node at 0
+        bounds = np.multiply.outer(
+            np.ldexp(1.0 / _H0, np.arange(self.max_levels + 1)), self.window)
+        np.ceil(bounds, out=bounds)
+        bounds *= bounds[:, :1] + bounds[:, 1:] <= 0.0
+        # the sums t, a (moduli), e (sum_k h |t_k| E_k) and x (the terms'
+        # bounds at the bounded nodes), then scale, err (NaN until a level
+        # has a predecessor) and converged
+        state = np.zeros((7, n_rows))
+        state[4], state[5] = _NO_TERM, math.nan
+        out = state.copy()   # each row's state when it stopped
+        new = np.empty((4, n_rows))
         level = 0
-        while level <= self.max_levels and rows:
+        while level <= self.max_levels and row.size:
+            sums, scale, err = state[:4], state[4], state[5]
             h = _H0 / 2.0 ** level
-            k_lo = [math.ceil(t / h) for t in t_lo]
-            k_hi = [math.floor(t / h) for t in t_hi]
-            for i in range(len(rows)):
-                if k_hi[i] < k_lo[i]:   # no node inside: take the one at 0
-                    k_lo[i] = k_hi[i] = 0
-            lo, hi = min(k_lo), max(k_hi)
+            lo, hi = np.minimum.reduce(bounds[level], axis=1).tolist()
+            lo, hi = int(lo), -int(hi)
             if level == 0:
                 k = np.arange(lo, hi + 1)
             else:
                 k = np.arange(lo + 1 - lo % 2, hi + 1, 2)   # the odd k
             sgn, log_f, abs_x, rest, log_b = self._scaled_terms(k * h, q)
-            if len(rows) > 1:   # a lone row's window is the whole range
-                outside = ((k < np.array(k_lo)[:, None])
-                           | (k > np.array(k_hi)[:, None]))
+            if row.size > 1:   # a lone row's window is the whole range
+                outside = ((k < bounds[level, 0, :, None])
+                           | (-k < bounds[level, 1, :, None]))
                 log_f[outside] = -np.inf
                 if log_b is not None:
                     log_b[outside] = -np.inf
             # the scale follows the largest term or bound seen so far
-            top = log_f.max(axis=1, initial=-np.inf)
+            top = np.maximum.reduce(log_f, axis=1, initial=_NO_TERM)
             if log_b is not None:
-                top = np.maximum(top, log_b.max(axis=1))
-            for i, tp in enumerate(top.tolist()):
-                if tp > scale[i]:
-                    adj = math.exp(scale[i] - tp)
-                    t_sum[i] *= adj
-                    a_sum[i] *= adj
-                    e_sum[i] *= adj
-                    x_sum[i] *= adj
-                    scale[i] = tp
-            ref = np.array([sc if sc > -math.inf else 0.0 for sc in scale])
+                top = np.maximum(top, np.maximum.reduce(log_b, axis=1))
+            np.maximum(scale, top, out=top)
+            # the factors by math.exp, the C library's exp: numpy's exp
+            # differs from it in the last bit for about 5 % of arguments,
+            # and the sums keep the bits of a rescale row by row
+            adj = np.array([math.exp(d) for d in (scale - top).tolist()])
+            scale[:] = top
             # per node: the term and its modulus; the modulus against the
             # absolute size E of the exponent gives the rounding floor
-            terms = sgn * np.exp(log_f - ref[:, None])
+            terms = sgn * np.exp(log_f - top[:, None])
             mod = np.abs(terms)
-            t_new = (h * terms.sum(axis=1)).tolist()
-            a_new = (h * mod.sum(axis=1)).tolist()
-            e_new = (h * (q * (mod @ abs_x) + mod @ rest)).tolist()
+            new = new[:, :row.size]
+            np.add.reduce(terms, axis=1, out=new[0])
+            np.add.reduce(mod, axis=1, out=new[1])
+            np.add(q * (mod @ abs_x), mod @ rest, out=new[2])
             if log_b is None:
-                x_new = [0.0] * len(rows)
+                new[3] = 0.0
             else:
-                x_new = (h * np.exp(log_b - ref[:, None]).sum(axis=1)).tolist()
-            gone = []
-            for i, j in enumerate(rows):
-                converged = floor = blind = False
-                if level == 0:
-                    t_sum[i], a_sum[i], e_sum[i] = t_new[i], a_new[i], e_new[i]
-                    x_sum[i] = x_new[i]
-                else:
-                    prev, prev_err = t_sum[i], err[i]
-                    t_sum[i] = 0.5 * prev + t_new[i]
-                    a_sum[i] = 0.5 * a_sum[i] + a_new[i]
-                    e_sum[i] = 0.5 * e_sum[i] + e_new[i]
-                    x_sum[i] = 0.5 * x_sum[i] + x_new[i]
-                    err[i] = abs(t_sum[i] - prev)
-                    if level >= 2:
-                        tol = self._tolerance(j, t_sum[i], e_sum[i], scale[i])
-                        converged = err[i] + x_sum[i] <= tol
-                        blind = x_sum[i] > tol
-                    floor = (not converged and 4.0 * err[i] > prev_err
-                             and err[i] <= _FLOOR_ULPS * _EPS * e_sum[i])
-                if converged or floor or blind or level == self.max_levels:
-                    done[j] = (t_sum[i], a_sum[i], e_sum[i], x_sum[i],
-                               scale[i], err[i], converged)
-                    gone.append(i)
-            if gone:
-                keep = [i for i in range(len(rows)) if i not in gone]
-                rows, t_lo, t_hi, t_sum, a_sum, e_sum, x_sum, scale, err = (
-                    [v[i] for i in keep] for v in
-                    (rows, t_lo, t_hi, t_sum, a_sum, e_sum, x_sum, scale, err))
-                q = q[keep]
+                np.add.reduce(np.exp(log_b - top[:, None]), axis=1,
+                              out=new[3])
+            new *= h
+            if level == 0:
+                sums[...] = new
+                done = np.full(row.size, level == self.max_levels)
+            else:
+                sums *= adj
+                prev = sums[0].copy()
+                sums *= 0.5
+                sums += new
+                quarter = 0.25 * err
+                np.abs(np.subtract(sums[0], prev, out=err), out=err)
+                floor = _FLOOR_ULPS * _EPS * sums[2]
+                # at the rounding floor: the difference no longer falls 4x
+                done = (err > quarter) & (err <= floor)
+                if level >= 2:
+                    tol = self._tolerance(sums[0], floor, scale, log_tol_abs)
+                    converged = err + sums[3] <= tol
+                    state[6] = converged
+                    # or blind: the bounded nodes alone fail the tolerance
+                    done |= converged | (sums[3] > tol)
+                if level == self.max_levels:
+                    done[:] = True
+            if np.count_nonzero(done):
+                out[:, row[done]] = state[:, done]
+                keep = ~done
+                row, q, log_tol_abs = row[keep], q[keep], log_tol_abs[keep]
+                bounds, state = bounds[:, :, keep], state[:, keep]
             level += 1
-        out = []
-        for j in range(self.q.size):
-            t, a, s, x, sc, e, converged = done.get(
-                j, (0.0, 0.0, 0.0, 0.0, -math.inf, math.inf, False))
-            # the error floor: the rounding of the sums and of each exp()
-            # (14 ulps of the moduli) plus one ulp of each exponent's size
-            e = max(e if math.isfinite(e) else 0.0,
-                    _EPS * (14.0 * a + s)) + x
-            # the floor may push the estimate past tolerance
-            converged = converged and e <= self._tolerance(j, t, s, sc)
-            # a row that saw no term has t = 0 on any scale
-            out.append((t, a, sc if sc > -math.inf else 0.0, e, converged))
-        return out
+        t, a, s, x, sc, e, converged = out
+        # the error floor: the rounding of the sums and of each exp()
+        # (14 ulps of the moduli) plus one ulp of each exponent's size; a
+        # row without a level difference has only the floor
+        e = np.fmax(e, _EPS * (14.0 * a + s)) + x
+        # the floor may push the estimate past tolerance
+        converged = (converged > 0.0) & (e <= self._tolerance(
+            t, _FLOOR_ULPS * _EPS * s, sc, self.log_tol_abs_scaled))
+        # a row that saw no term has t = 0 on any scale
+        return t, a, np.where(sc > _NO_TERM, sc, 0.0), e, converged
 
 
 def _check_bound(gv, sup_bound):
-    if not len(gv):
+    if not gv.size:
         return
-    if np.any(np.isnan(gv)):
+    top = np.maximum.reduce(np.abs(gv), axis=None)   # NaN if any is
+    if top != top:
         raise ValueError("symbol returned NaN")
-    if np.max(np.abs(gv)) > sup_bound * (1.0 + 1e-9) + 1e-300:
+    if top > sup_bound * (1.0 + 1e-9) + 1e-300:
         raise ValueError(
-            f"symbol exceeded its declared sup bound {sup_bound} "
-            f"(saw {np.max(np.abs(gv))})")
+            f"symbol exceeded its declared sup bound {sup_bound} (saw {top})")
 
 
 def _run_de_pairs(g_pair, c, m, powers, tol_rel, tol_abs, max_levels, decay):
     """One exp-sinh run for every power in powers, for a g that decays like
-    exp(-decay r^m).  Returns a list with one (t_sum, a_sum, log_scale, err,
-    converged) per power, and the number of g evaluations."""
+    exp(-decay r^m).  Returns arrays over the powers (t_sum, a_sum,
+    log_scale, err, converged) and the number of g evaluations."""
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"decay scale c must be positive and finite, got {c!r}")
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError(f"exponent m must be positive and finite, got {m!r}")
     if not (decay >= 0.0 and math.isfinite(decay)):
         raise ValueError(f"symbol decay must be finite and >= 0, got {decay!r}")
-    for power in powers:
-        if power < 0.0:
-            raise ValueError(f"power must be >= 0, got {power!r}")
-    q = [(power + 1.0) / m for power in powers]
-    log_pref = [-math.log(m) - qj * math.log(c) for qj in q]
-    log_tol_abs = [(math.log(tol_abs) - lp) if tol_abs > 0.0 else -math.inf
-                   for lp in log_pref]
+    powers = np.asarray(powers, dtype=float)
+    if (powers < 0.0).any():
+        raise ValueError(f"power must be >= 0, got {float(powers.min())!r}")
+    q = (powers + 1.0) / m
+    log_pref = -math.log(m) - q * math.log(c)
+    log_tol_abs = (math.log(tol_abs) - log_pref if tol_abs > 0.0
+                   else np.full(q.size, -math.inf))
     engine = _DESum(q, math.log(c), m, g_pair, tol_rel, log_tol_abs, max_levels,
                     math.log1p(decay / c))
-    rows = [(t_sum, a_sum, scale + lp, err, converged) for lp, (
-        t_sum, a_sum, scale, err, converged) in zip(log_pref, engine.run())]
-    return rows, engine.evals
+    t_sum, a_sum, scale, err, converged = engine.run()
+    return t_sum, a_sum, scale + log_pref, err, converged, engine.evals
 
 
 def _run_de_pair(g_pair, c, m, power, tol_rel, tol_abs, max_levels,
                  decay=0.0):
-    (row,), evals = _run_de_pairs(g_pair, c, m, [power], tol_rel, tol_abs,
-                                  max_levels, decay)
-    t_sum, a_sum, log_scale, err, converged = row
-    return t_sum, a_sum, log_scale, err, evals, converged
+    rows = _run_de_pairs(g_pair, c, m, [power], tol_rel, tol_abs, max_levels,
+                         decay)
+    (t_sum,), (a_sum,), (log_scale,), (err,), (converged,) = (
+        v.tolist() for v in rows[:5])
+    return t_sum, a_sum, log_scale, err, rows[5], converged
 
 
 def _pair_from_symbol(g: RadialSymbol):
@@ -365,7 +373,7 @@ def _pair_from_symbol(g: RadialSymbol):
 def _err_floor(err, t_sum, a_sum, log_scale):
     """Error estimates cannot honestly drop below rounding: trapezoid noise
     plus the conditioning of the final exp that applies the log prefactor."""
-    return max(err, _EPS * (8.0 * a_sum + abs(log_scale) * abs(t_sum)))
+    return np.maximum(err, _EPS * (8.0 * a_sum + abs(log_scale) * abs(t_sum)))
 
 
 def integrate_radial(g: RadialSymbol, c: float, m: float, power: float = 0.0, *,
@@ -391,20 +399,19 @@ def integrate_radial_log_powers(g: RadialSymbol, c: float, m: float, powers, *,
                                 tol_abs=DEFAULT_QUAD_TOL_ABS,
                                 max_levels=DEFAULT_MAX_LEVELS):
     """integrate_radial_log for every power in powers, from one exp-sinh
-    run whose nodes all the powers share.  Returns a list with one
-    (log |value|, sign, relative error, converged) per power, and the number
-    of evaluations of g."""
-    rows, evals = _run_de_pairs(_pair_from_symbol(g), c, m, powers, tol_rel,
-                                tol_abs, max_levels, g.decay)
-    out = []
-    for t_sum, a_sum, log_scale, err, converged in rows:
-        if t_sum == 0.0:
-            out.append((-math.inf, 0.0, math.inf, converged))
-            continue
-        err = _err_floor(err, t_sum, a_sum, log_scale)
-        out.append((log_scale + math.log(abs(t_sum)), math.copysign(1.0, t_sum),
-                    err / abs(t_sum), converged))
-    return out, evals
+    run whose nodes all the powers share.  Returns arrays over the powers
+    (log |value|, sign, relative error, converged), and the number of
+    evaluations of g."""
+    t_sum, a_sum, log_scale, err, converged, evals = _run_de_pairs(
+        _pair_from_symbol(g), c, m, powers, tol_rel, tol_abs, max_levels,
+        g.decay)
+    err = _err_floor(err, t_sum, a_sum, log_scale)
+    mod = np.abs(t_sum)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_value = log_scale + np.log(mod)
+        # a zero sum has no relative accuracy
+        rel = np.where(mod > 0.0, err / mod, math.inf)
+    return (log_value, np.sign(t_sum) + 0.0, rel, converged), evals
 
 
 def integrate_radial_log(g: RadialSymbol, c: float, m: float, power: float = 0.0, *,
@@ -412,9 +419,10 @@ def integrate_radial_log(g: RadialSymbol, c: float, m: float, power: float = 0.0
                          max_levels=DEFAULT_MAX_LEVELS):
     """Like integrate_radial but in log form, for results far outside
     double range: returns (log |value|, sign, relative error, evals, converged)."""
-    ((log_value, sign, rel, converged),), evals = integrate_radial_log_powers(
+    rows, evals = integrate_radial_log_powers(
         g, c, m, [power], tol_rel=tol_rel, tol_abs=tol_abs,
         max_levels=max_levels)
+    (log_value,), (sign,), (rel,), (converged,) = (v.tolist() for v in rows)
     return log_value, sign, rel, evals, converged
 
 

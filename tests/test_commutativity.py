@@ -15,13 +15,70 @@ from fockberezin import (NonConvergenceError, UCache, asymptotic_slopes,
 from fockberezin._reference import (DEFECT_M4_1_2_D1, NESTED_M4_BWD_2_1_D1,
                                     NESTED_M4_FWD_1_2_D1, U_GAP_M4_12, U_M4)
 from fockberezin.berezin import ExpSymbol, berezin_general
-from fockberezin.commutativity import _U_BLOCK, UValue
+from fockberezin.commutativity import _U_BLOCK, UBlock, UValue
 from fockberezin.special import WeightParams
 
 
 @pytest.fixture(scope="module")
 def cache():
     return UCache()
+
+
+class StubU:
+    """A U cache for nested_at_zero whose U(n) has the log log_u(n) and
+    relative error 1e-14; the rows in failed did not converge."""
+
+    series_tol = UCache().series_tol
+
+    def __init__(self, log_u, failed=()):
+        self.log_u = log_u
+        self.failed = set(failed)
+
+    def block(self, alpha, beta, m, n0):
+        n = np.arange(n0, n0 + _U_BLOCK)
+        log_v = self.log_u(n).astype(float)
+        failed = {k: NonConvergenceError(f"stub U(n={k})")
+                  for k in self.failed if n0 <= k < n0 + _U_BLOCK}
+        for k in failed:
+            log_v[k - n0] = math.nan
+        value = np.exp(log_v)
+        return UBlock(n0, value, 1e-14 * value, log_v,
+                      np.full(_U_BLOCK, 1e-14), failed)
+
+    def u(self, alpha, beta, m, n):
+        log_v = float(self.log_u(np.array(n)))
+        return UValue(n, math.exp(log_v), 1e-14 * math.exp(log_v), log_v,
+                      1e-14)
+
+
+def nested_term_by_term(alpha, beta, m, delta, cache):
+    """nested_at_zero's series walked one cache.u call per term: the same
+    stop rule, tail and error, as (value, error_bound, n_terms)."""
+    log_da = math.log(delta + alpha)
+    logs, scale, partial, weighted, streak, n = [], None, 0.0, 0.0, 0, 0
+    while True:
+        u = cache.u(alpha, beta, m, n)
+        logs.append(u.log_value - ((2.0 * n + 2.0) / m) * log_da)
+        if scale is None or logs[-1] > scale:
+            adj = 0.0 if scale is None else math.exp(scale - logs[-1])
+            partial, weighted, scale = partial * adj, weighted * adj, logs[-1]
+        t = math.exp(logs[-1] - scale)
+        partial += t
+        weighted += t * u.rel_error
+        if n >= 3:
+            top = math.exp(max(np.diff(logs[-4:])))
+            rho = min(top, 0.98)
+            small = top < 1.0 and t <= cache.series_tol * partial * (1.0 - rho)
+            streak = streak + 1 if small else 0
+            if streak >= 2:
+                break
+        n += 1
+    log_pref = (math.log(m) + (2.0 / m) * (math.log(alpha) + math.log(beta))
+                - math.log(2.0 * math.pi) - WeightParams(alpha, m).log_gamma_2m)
+    value = math.exp(log_pref + scale + math.log(partial))
+    rel = (weighted / partial + t * rho / (1.0 - rho) / partial
+           + 8.0 * commutativity._EPS * (n + 1))
+    return value, value * rel, n + 1
 
 
 class TestUFunction:
@@ -160,11 +217,11 @@ class TestRoundingFloor:
         # exponent, whose rounding alone exceeds the tolerance
         args = (0.01, 1.0, 0.5)
         block = range(1152, 1152 + _U_BLOCK)
-        rows, evals = self._rows(*args, block)
-        assert not any(r[3] for r in rows)
+        (*_, converged), evals = self._rows(*args, block)
+        assert not converged.any()
         monkeypatch.setattr(quadrature, "_FLOOR_ULPS", 0.0)   # no floor stop
-        rows_full, evals_full = self._rows(*args, block)
-        assert not any(r[3] for r in rows_full)
+        (*_, converged_full), evals_full = self._rows(*args, block)
+        assert not converged_full.any()
         assert 1.5 * evals < evals_full
 
     def test_spares_a_row_still_converging(self, monkeypatch):
@@ -173,8 +230,11 @@ class TestRoundingFloor:
         args = (92.67044675006838, 2707.9234317226887, 6.0, range(_U_BLOCK))
         rows, evals = self._rows(*args)
         monkeypatch.setattr(quadrature, "_FLOOR_ULPS", 0.0)
-        assert self._rows(*args) == (rows, evals)
-        assert rows[16][3]
+        rows_full, evals_full = self._rows(*args)
+        assert evals_full == evals
+        for got, want in zip(rows_full, rows):
+            assert np.array_equal(got, want)
+        assert rows[3][16]   # converged
 
     def test_single_row_runs_unchanged(self, monkeypatch):
         def points():
@@ -220,20 +280,91 @@ class TestNested:
     def test_growing_terms_never_stop(self):
         """Terms that grow again far below the first one do not end the
         series, however small they are next to it."""
-        class GrowingU:
-            series_tol = UCache().series_tol
-
-            def u(self, alpha, beta, m, n):
-                log_v = 0.0 if n == 0 else -400.0 + 0.5 * n
-                return UValue(n, math.exp(log_v), 0.0, log_v, 1e-14)
+        def log_u(n):
+            return np.where(n == 0, 0.0, -400.0 + 0.5 * n)
 
         # alpha + delta = 1, so each term is U(n) itself
-        with pytest.raises(NonConvergenceError):
-            nested_at_zero(0.5, 1.0, 2.0, 0.5, cache=GrowingU(), max_terms=200)
+        with pytest.raises(NonConvergenceError, match="exceeded 200 terms"):
+            nested_at_zero(0.5, 1.0, 2.0, 0.5, cache=StubU(log_u),
+                           max_terms=200)
 
     def test_delta_validation(self, cache):
         with pytest.raises(ValueError):
             nested_at_zero(1.0, 2.0, 2.0, -1.0, cache=cache)
+
+
+class TestNestedBlocks:
+    """nested_at_zero weighs U a block at a time; the series it sums is the
+    one walked term by term."""
+
+    # (m, alpha, beta, delta, the block in which the series stops)
+    CASES = [(0.5, 1.0, 2.0, 1.0, 0), (0.5, 8.0, 1.0, 0.3, 1),
+             (0.5, 30.0, 1.0, 1.0, 2), (2.0, 1.0, 2.0, 1.0, 0),
+             (2.0, 2.0, 1.0, 0.1, 1), (2.0, 6.0, 1.0, 0.3, 2),
+             (4.0, 1.0, 2.0, 1.0, 0), (4.0, 2.0, 1.0, 1.0, 1),
+             (4.0, 2.0, 1.0, 0.03, 2), (10.0, 1.0, 4.0, 1.0, 0),
+             (10.0, 1.0, 2.0, 1.0, 1), (10.0, 2.0, 1.0, 1.0, 2)]
+
+    @pytest.mark.parametrize("m,alpha,beta,delta,block", CASES)
+    def test_matches_term_by_term(self, cache, m, alpha, beta, delta, block):
+        nv = nested_at_zero(alpha, beta, m, delta, cache=cache)
+        value, _, n_terms = nested_term_by_term(alpha, beta, m, delta, cache)
+        assert (nv.n_terms - 1) // _U_BLOCK == block
+        assert nv.n_terms == n_terms
+        assert abs(nv.value - value) <= 0.01 * nv.error_bound
+
+    def test_peak_past_the_first_block(self):
+        # the terms rise to n = 100 and the scale moves in the second block
+        stub = StubU(lambda n: -((n - 100.0) / 20.0) ** 2)
+        nv = nested_at_zero(0.5, 1.0, 2.0, 0.5, cache=stub)
+        value, _, n_terms = nested_term_by_term(0.5, 1.0, 2.0, 0.5, stub)
+        assert nv.n_terms == n_terms > 2 * _U_BLOCK
+        assert abs(nv.value - value) <= 0.01 * nv.error_bound
+
+    @staticmethod
+    def _falling(n):
+        return -0.5 * n   # alpha + delta = 1: each term is U(n)
+
+    def test_unconverged_row_past_the_stop_is_not_read(self):
+        n_terms = nested_at_zero(0.5, 1.0, 2.0, 0.5,
+                                 cache=StubU(self._falling)).n_terms
+        assert n_terms % _U_BLOCK > 0   # the next row is in the same block
+        nv = nested_at_zero(0.5, 1.0, 2.0, 0.5,
+                            cache=StubU(self._falling, failed=[n_terms]))
+        assert nv.n_terms == n_terms
+
+    def test_unconverged_row_reached_raises(self):
+        n_terms = nested_at_zero(0.5, 1.0, 2.0, 0.5,
+                                 cache=StubU(self._falling)).n_terms
+        stub = StubU(self._falling, failed=[n_terms - 1, n_terms])
+        with pytest.raises(NonConvergenceError, match=f"n={n_terms - 1}\\)"):
+            nested_at_zero(0.5, 1.0, 2.0, 0.5, cache=stub)
+
+
+class TestResultTypes:
+    def test_public_results_are_python_scalars(self, cache):
+        u = UCache().u(1.0, 2.0, 4.0, 3)
+        assert [type(v) for v in (u.n, u.value, u.error, u.log_value,
+                                  u.rel_error)] == [int] + [float] * 4
+        rep = defect(1.0, 2.0, 4.0, 1.0, cache=cache)
+        for nv in (rep.forward, rep.backward):
+            assert [type(v) for v in (nv.value, nv.error_bound,
+                                      nv.n_terms)] == [float, float, int]
+        assert type(rep.defect) is float
+        assert type(rep.combined_error) is float
+        assert type(rep.significant) is bool
+        for res in (quadrature.integrate_radial(quadrature.unit_symbol(),
+                                                1.0, 2.0, 3.0),
+                    berezin_general(WeightParams(1.0, 2.0), ExpSymbol(1.0),
+                                    0.5 + 0.2j)):
+            assert [type(v) for v in (res.value, res.abs_error_estimate,
+                                      res.evaluations, res.converged)] == [
+                float, float, int, bool]
+        with pytest.raises(NonConvergenceError) as ei:
+            u_function(1.075990301847395, 0.020672902749768567, 4.0, 2240,
+                       cache=cache)
+        assert type(ei.value.partial) is float
+        assert type(ei.value.error_bound) is float
 
 
 class TestDefect:

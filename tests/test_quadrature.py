@@ -139,7 +139,7 @@ class TestPowerLadder:
         g = UCache().inv_kernel_symbol(1.3, m)
         powers = [2.0 * n + 1.0 for n in range(48)]
         rows, _ = integrate_radial_log_powers(g, 0.7, m, powers)
-        for power, (log_val, sign, rel, converged) in zip(powers, rows):
+        for power, log_val, sign, rel, converged in zip(powers, *rows):
             one_log, one_sign, _, _, one_converged = integrate_radial_log(
                 g, 0.7, m, power)
             assert converged and one_converged, power
