@@ -161,12 +161,11 @@ class _DESum:
         self.log_tol_abs_scaled = log_tol_abs_scaled   # one per row
         self.max_levels = max_levels
         width = _LOG_WINDOW_DECAY if lo_shift > 0.0 else _LOG_WINDOW
+        windows = [_u_window(qj, width) for qj in q.tolist()]
         # each row's window in t, as (t_lo, -t_hi)
-        self.window = np.array([
-            (math.asinh((x_lo - lo_shift) / _A),
-             -math.asinh((x_hi - lo_shift) / _A))
-            for _, x_lo, x_hi in map(_u_window, q.tolist(),
-                                     [width] * q.size)]).T
+        self.window = np.array([(math.asinh((x_lo - lo_shift) / _A),
+                                 -math.asinh((x_hi - lo_shift) / _A))
+                                for _, x_lo, x_hi in windows]).T
         self.evals = 0
 
     def _scaled_terms(self, t, q):
