@@ -46,6 +46,8 @@ class StubU:
                       np.full(_U_BLOCK, 1e-14), failed)
 
     def u(self, alpha, beta, m, n):
+        if n in self.failed:
+            raise NonConvergenceError(f"stub U(n={n})")
         log_v = float(self.log_u(np.array(n)))
         return UValue(n, math.exp(log_v), 1e-14 * math.exp(log_v), log_v,
                       1e-14)
