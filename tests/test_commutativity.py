@@ -310,18 +310,21 @@ class TestNestedBlocks:
     @pytest.mark.parametrize("m,alpha,beta,delta,block", CASES)
     def test_matches_term_by_term(self, cache, m, alpha, beta, delta, block):
         nv = nested_at_zero(alpha, beta, m, delta, cache=cache)
-        value, _, n_terms = nested_term_by_term(alpha, beta, m, delta, cache)
+        value, error, n_terms = nested_term_by_term(alpha, beta, m, delta,
+                                                    cache)
         assert (nv.n_terms - 1) // _U_BLOCK == block
         assert nv.n_terms == n_terms
         assert abs(nv.value - value) <= 0.01 * nv.error_bound
+        assert nv.error_bound == pytest.approx(error, rel=1e-9, abs=0.0)
 
     def test_peak_past_the_first_block(self):
         # the terms rise to n = 100 and the scale moves in the second block
         stub = StubU(lambda n: -((n - 100.0) / 20.0) ** 2)
         nv = nested_at_zero(0.5, 1.0, 2.0, 0.5, cache=stub)
-        value, _, n_terms = nested_term_by_term(0.5, 1.0, 2.0, 0.5, stub)
+        value, error, n_terms = nested_term_by_term(0.5, 1.0, 2.0, 0.5, stub)
         assert nv.n_terms == n_terms > 2 * _U_BLOCK
         assert abs(nv.value - value) <= 0.01 * nv.error_bound
+        assert nv.error_bound == pytest.approx(error, rel=1e-9, abs=0.0)
 
     @staticmethod
     def _falling(n):
