@@ -164,7 +164,7 @@ def berezin_exp_radial_grid(params: WeightParams, delta: float, r, *,
     lg_base = log_series_grid(params, t_base, tol=series_tol, max_terms=max_terms)
     lg_star = log_series_grid(params, t_star, tol=series_tol, max_terms=max_terms)
     # the transform of 0 <= f_delta <= 1 is itself in [0, 1]; the clip only
-    # bites in the deep-tail regime where both factors are peak estimates
+    # catches the rounding of the logs when delta is near 0
     return np.minimum(np.exp(log_contract + lg_star - lg_base), 1.0)
 
 

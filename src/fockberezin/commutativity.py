@@ -30,10 +30,6 @@ from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, WeightParams,
                       log_series_grid, moment_table)
 
 _EPS = float(np.finfo(float).eps)
-# log_series_grid sums log S exactly up to here for the 1/S symbol: past the
-# default (800, where 1/S underflows) a U(n) with n in the low thousands
-# still has mass; beyond, the symbol gives only a bound (eval_log)
-_INV_SUM_LOG = 2000.0
 _LOG_2PI = math.log(2.0 * math.pi)
 
 DEFAULT_KAPPA = 10.0
@@ -186,9 +182,9 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
     sorted-key array with vectorized lookup.  Each node's value depends only
     on its own radius, never on batch composition, so cache hits across
     integrals and threads reproduce identical floats.  eval_log hands the
-    cached logs to the quadrature where 1/S leaves double range; past
-    log S = _INV_SUM_LOG they are only bounds (log_series_grid stops
-    summing there and returns a lower bound on log S).
+    cached logs to the quadrature where 1/S leaves double range; they are
+    values at every radius, since log_series_grid takes log S from the
+    Mittag-Leffler leading term where the series would run long.
     """
     lock = threading.Lock()
     state = (np.empty(0), np.empty(0))  # sorted radii, log(1/S)
@@ -208,8 +204,7 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
         if miss.any():
             rm = r[miss]
             fresh = -log_series_grid(params, rm * rm, tol=series_tol,
-                                     max_terms=max_terms,
-                                     sum_below=_INV_SUM_LOG)
+                                     max_terms=max_terms)
             out[miss] = fresh
             with lock:
                 keys, vals = state
@@ -225,15 +220,12 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
     def eval_array(r):
         return np.exp(log_inv(r))
 
-    def eval_log(r):
-        log_g = log_inv(r)
-        return log_g, log_g >= -_INV_SUM_LOG
-
-    # 1/S_alpha(r^2) ~ (2/m) alpha^((2-m)/m) r^(2-m) e^(-alpha r^m)
-    # (diagonal kernel asymptotics)
+    # 1/S_alpha(r^2) = (2/m) alpha^((2-m)/m) r^(2-m) e^(-alpha r^m), up to
+    # exponentially small terms (the Mittag-Leffler branch of
+    # log_series_grid)
     return RadialSymbol(lambda x: float(eval_array(np.array([x]))[0]), sup,
                         eval_array=eval_array, decay=params.alpha,
-                        eval_log=eval_log)
+                        eval_log=log_inv)
 
 
 def _u_compute(alpha, beta, m, n0, cache: UCache) -> UBlock:

@@ -67,20 +67,17 @@ class RadialSymbol:
     (up to powers of r); the quadrature then centres each window where the
     integrand's mass moves, towards 0.
 
-    eval_log, when provided, gives a positive symbol in log form: for an
-    array of radii, the pair (log g, exact), where exact is False, log g is
-    only an upper bound.  The quadrature uses it at the nodes where the
+    eval_log, when provided, gives a positive symbol in log form: log g
+    for an array of radii.  The quadrature uses it at the nodes where the
     values have left the normal double range, so that a symbol far below
-    it still weighs a large power of r exactly; bounded nodes count
-    against the error, not as zeros.
+    it still weighs a large power of r exactly.
     """
 
     eval: Callable[[float], float]
     sup_bound: float
     eval_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
     decay: float = 0.0
-    eval_log: Optional[Callable[[np.ndarray],
-                                tuple[np.ndarray, np.ndarray]]] = None
+    eval_log: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def values(self, r: np.ndarray) -> np.ndarray:
         if self.eval_array is not None:
@@ -144,11 +141,7 @@ class _DESum:
     g_k| + |log w_k| the absolute size of node k's exponent, so eps sum_k h
     |t_k| E_k is a row's rounding floor.  A row whose level-to-level
     difference fails to fall by 4x while it lies within _FLOOR_ULPS times
-    that floor can no longer meet its tolerance and stops, unconverged.  A
-    node where g_pair gives sign 0 with a finite log|g| has only that
-    bound: its term's bound is summed apart and added to the row's error,
-    and a row whose bounded part alone fails the tolerance stops,
-    unconverged, since refining does not shrink it.
+    that floor can no longer meet its tolerance and stops, unconverged.
     """
 
     def __init__(self, q, log_c, m, g_pair, tol_rel, log_tol_abs_scaled,
@@ -170,11 +163,9 @@ class _DESum:
 
     def _scaled_terms(self, t, q):
         """At the nodes t: the sign of the transformed integrand, shape
-        (nodes,); its log for the exponents q, shape (len(q), nodes); |x|
+        (nodes,); its log for the exponents q, shape (len(q), nodes); and |x|
         and u + |log g| + |log w|, which make up the absolute size E of each
-        exponent, shape (nodes,); and the log of each term's bound at the
-        bounded nodes (-inf elsewhere), shape (len(q), nodes), or None when
-        no node is bounded."""
+        exponent, shape (nodes,)."""
         x = _A * np.sinh(t)
         u = np.exp(x)
         r = np.exp((x - self.log_c) / self.m)
@@ -182,17 +173,12 @@ class _DESum:
         self.evals += len(r)
         log_w = np.log(_A * np.cosh(t))   # > 0
         live = sgn != 0.0
-        log_b = None
         if np.count_nonzero(live) == live.size:
             rest = u + np.abs(log_g) + log_w
         else:
-            bounded = ~live & (log_g > -np.inf)
-            if bounded.any():
-                log_b = q[:, None] * x - u + np.where(bounded, log_g,
-                                                      -np.inf) + log_w
             rest = u + np.abs(np.where(live, log_g, 0.0)) + log_w
             log_g = np.where(live, log_g, -np.inf)
-        return sgn, q[:, None] * x - u + log_g + log_w, np.abs(x), rest, log_b
+        return sgn, q[:, None] * x - u + log_g + log_w, np.abs(x), rest
 
     def _tolerance(self, t_sum, floor, scale, log_tol_abs):
         """The error that meets each row's tolerance: the relative one on
@@ -212,8 +198,7 @@ class _DESum:
         them through the levels: their index, q, log tol_abs, node range
         per level and state.  A level rescales, sums and tests all of them
         with array operations, and drops those that converge, reach their
-        rounding floor, are swamped by their bounded nodes or run out of
-        levels."""
+        rounding floor or run out of levels."""
         n_rows = self.q.size
         row, q, log_tol_abs = np.arange(n_rows), self.q, self.log_tol_abs_scaled
         # per level and row, the nodes k h inside the window, as (k_lo,
@@ -222,16 +207,15 @@ class _DESum:
             np.ldexp(1.0 / _H0, np.arange(self.max_levels + 1)), self.window)
         np.ceil(bounds, out=bounds)
         bounds *= bounds[:, :1] + bounds[:, 1:] <= 0.0
-        # the sums t, a (moduli), e (sum_k h |t_k| E_k) and x (the terms'
-        # bounds at the bounded nodes), then scale, err (NaN until a level
-        # has a predecessor) and converged
-        state = np.zeros((7, n_rows))
-        state[4], state[5] = _NO_TERM, math.nan
+        # the sums t, a (moduli) and e (sum_k h |t_k| E_k), then scale, err
+        # (NaN until a level has a predecessor) and converged
+        state = np.zeros((6, n_rows))
+        state[3], state[4] = _NO_TERM, math.nan
         out = state.copy()   # each row's state when it stopped
-        new = np.empty((4, n_rows))
+        new = np.empty((3, n_rows))
         level = 0
         while level <= self.max_levels and row.size:
-            sums, scale, err = state[:4], state[4], state[5]
+            sums, scale, err = state[:3], state[3], state[4]
             h = _H0 / 2.0 ** level
             lo, hi = np.minimum.reduce(bounds[level], axis=1).tolist()
             lo, hi = int(lo), -int(hi)
@@ -239,17 +223,13 @@ class _DESum:
                 k = np.arange(lo, hi + 1)
             else:
                 k = np.arange(lo + 1 - lo % 2, hi + 1, 2)   # the odd k
-            sgn, log_f, abs_x, rest, log_b = self._scaled_terms(k * h, q)
+            sgn, log_f, abs_x, rest = self._scaled_terms(k * h, q)
             if row.size > 1:   # a lone row's window is the whole range
                 outside = ((k < bounds[level, 0, :, None])
                            | (-k < bounds[level, 1, :, None]))
                 log_f[outside] = -np.inf
-                if log_b is not None:
-                    log_b[outside] = -np.inf
-            # the scale follows the largest term or bound seen so far
+            # the scale follows the largest term seen so far
             top = np.maximum.reduce(log_f, axis=1, initial=_NO_TERM)
-            if log_b is not None:
-                top = np.maximum(top, np.maximum.reduce(log_b, axis=1))
             np.maximum(scale, top, out=top)
             # the factors by math.exp, the C library's exp: numpy's exp
             # differs from it in the last bit for about 5 % of arguments,
@@ -264,11 +244,6 @@ class _DESum:
             np.add.reduce(terms, axis=1, out=new[0])
             np.add.reduce(mod, axis=1, out=new[1])
             np.add(q * (mod @ abs_x), mod @ rest, out=new[2])
-            if log_b is None:
-                new[3] = 0.0
-            else:
-                np.add.reduce(np.exp(log_b - top[:, None]), axis=1,
-                              out=new[3])
             new *= h
             if level == 0:
                 sums[...] = new
@@ -285,10 +260,9 @@ class _DESum:
                 done = (err > quarter) & (err <= floor)
                 if level >= 2:
                     tol = self._tolerance(sums[0], floor, scale, log_tol_abs)
-                    converged = err + sums[3] <= tol
-                    state[6] = converged
-                    # or blind: the bounded nodes alone fail the tolerance
-                    done |= converged | (sums[3] > tol)
+                    converged = err <= tol
+                    state[5] = converged
+                    done |= converged
                 if level == self.max_levels:
                     done[:] = True
             if np.count_nonzero(done):
@@ -297,11 +271,11 @@ class _DESum:
                 row, q, log_tol_abs = row[keep], q[keep], log_tol_abs[keep]
                 bounds, state = bounds[:, :, keep], state[:, keep]
             level += 1
-        t, a, s, x, sc, e, converged = out
+        t, a, s, sc, e, converged = out
         # the error floor: the rounding of the sums and of each exp()
         # (14 ulps of the moduli) plus one ulp of each exponent's size; a
         # row without a level difference has only the floor
-        e = np.fmax(e, _EPS * (14.0 * a + s)) + x
+        e = np.fmax(e, _EPS * (14.0 * a + s))
         # the floor may push the estimate past tolerance
         converged = (converged > 0.0) & (e <= self._tolerance(
             t, _FLOOR_ULPS * _EPS * s, sc, self.log_tol_abs_scaled))
@@ -362,8 +336,8 @@ def _pair_from_symbol(g: RadialSymbol):
         if g.eval_log is not None:
             low = np.abs(gv) < _TINY   # zero or subnormal: take the log form
             if low.any():
-                log_g[low], exact = g.eval_log(r[low])
-                sgn[low] = exact   # sign 0 marks a bound
+                log_g[low] = g.eval_log(r[low])
+                sgn[low] = 1.0
         return sgn, log_g
 
     return g_pair

@@ -18,6 +18,13 @@ n past the peak term where the geometric tail bound |a_n| rho_n / (1 - rho_n),
 with rho_n = |a_{n+1} / a_n|, is at most tol * e^-8 relative to the peak term.
 The grids sum chunks of entries laid out (entries, rows), and test the rule
 only on the rows from the chunk's smallest peak on.
+
+On the positive axis S is the Mittag-Leffler function E_{2/m,2/m}, whose
+leading asymptotic term is exact up to terms exponentially small in the
+continuous peak index x = alpha t^(m/2).  The real grid takes log S from
+that term wherever a proven remainder bound meets the stop rule's own
+threshold (_ml_switch), so every real grid value is a value of log S, not
+a bound; kernel_series and the complex grids always sum the series.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -469,15 +476,94 @@ def reproducing_kernel(params: WeightParams, z: complex, w: complex, *,
 
 
 # ---------------------------------------------------------------------------
+# The Mittag-Leffler branch of log S on the positive axis.
+# ---------------------------------------------------------------------------
+
+# S(t) = E_{a,a}(y) with a = 2/m and y = alpha^a t, a Mittag-Leffler function.
+# From its Hankel form E_{a,a}(y) = (1/2 pi i) int e^u / (u^a - y) du, with
+# the contour deformed onto the rays arg u = +-theta, theta in (pi/2, pi),
+#
+#     S = (1/a) sum_{|2 pi k / a| < theta} u_k^(1-a) e^(u_k) + R,
+#     u_k = x e^(2 pi i k / a),   x = y^(1/a) = alpha t^(m/2),
+#     |R| <= 1 / (pi |cos theta| y c),   c = |sin a theta| if cos a theta > 0,
+#                                        else 1
+#
+# (Gorenflo, Kilbas, Mainardi & Rogosin, Mittag-Leffler Functions, Springer
+# 2014, ch. 4; Podlubny, Fractional Differential Equations, 1999, Thms
+# 1.3-1.4).  Relative to the leading term k = 0, (1/a) x^(1-a) e^x, the
+# terms k != 0 are at most e^(-x (1 - cos(2 pi k / a))) each and R at most
+# coef e^-x / x with coef = a / (pi |cos theta| c).
+
+
+@lru_cache(maxsize=64)
+def _ml_contour(m):
+    """(theta, ks, coef) of the remainder bound above for a = 2/m: the ray
+    angle, the k >= 1 whose poles u_(+-k) lie inside the rays, and coef.
+    theta minimizes the bound at x = _STOP_MARGIN - log(DEFAULT_SERIES_TOL),
+    about where it meets the stop rule at the default tolerance; the bound
+    holds for any theta, so the choice moves only the switch point."""
+    a = 2.0 / m
+    x_ref = _STOP_MARGIN - math.log(DEFAULT_SERIES_TOL)
+    best = (math.inf,)
+    for i in range(1, 257):
+        theta = 0.5 * math.pi * (1.0 + i / 257.0)
+        c = abs(math.sin(a * theta)) if math.cos(a * theta) > 0.0 else 1.0
+        coef = a / (math.pi * abs(math.cos(theta)) * c)
+        ks = tuple(range(1, math.ceil(a * theta / (2.0 * math.pi))))
+        bound = _ml_rel_bound(a, ks, coef, x_ref)
+        if bound < best[0]:
+            best = (bound, theta, ks, coef)
+    return best[1:]
+
+
+def _ml_rel_bound(a, ks, coef, x):
+    """Bound on |S - leading| / leading at x: the poles k != 0 inside the
+    rays, in pairs, and the ray integral R."""
+    osc = sum(2.0 * math.exp(-x * (1.0 - math.cos(2.0 * math.pi * k / a)))
+              for k in ks)
+    return osc + coef * math.exp(-x) / x
+
+
+@lru_cache(maxsize=256)
+def _ml_switch(m, tol):
+    """The smallest x = alpha t^(m/2), to within bisection, from which the
+    leading term gives S within tol * e^-_STOP_MARGIN relative, the stop
+    rule's threshold; the bound falls with x, so it holds on all x past it."""
+    _, ks, coef = _ml_contour(m)
+    a = 2.0 / m
+    target = tol * math.exp(-_STOP_MARGIN)
+    lo, hi = 0.0, 1.0
+    while _ml_rel_bound(a, ks, coef, hi) > target:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _ml_rel_bound(a, ks, coef, mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _ml_log(m, x):
+    """log of the leading term (1/a) x^(1-a) e^x, a = 2/m, for an array of
+    x = alpha t^(m/2) (inf where x overflows)."""
+    a = 2.0 / m
+    with np.errstate(invalid="ignore"):
+        small = (1.0 - a) * np.log(x) - math.log(a)
+    return np.where(np.isfinite(x), x + small, np.inf)
+
+
+# ---------------------------------------------------------------------------
 # Batched evaluation on real nonnegative grids (the quadrature fast path).
 # ---------------------------------------------------------------------------
 
-_SHORTCIRCUIT_LOG = 800.0  # beyond this, 1/S underflows; skip the summation
+_SHORTCIRCUIT_LOG = 800.0  # beyond this, |S|^-2 underflows; skip the summation
 
 
 def _peak_log_estimate(params: WeightParams, t):
-    """Stirling estimate of max_n log(t^n / s_n): a cheap lower bound on log S(t)
-    used to skip summation where exp(-log S) underflows anyway."""
+    """Stirling estimate of max_n log(t^n / s_n): a cheap lower bound on
+    log|S| at |zeta| = t, used on complex arguments to skip summation where
+    exp(-log|S|) underflows anyway."""
     m, la = params.m, params.log_alpha
     with np.errstate(divide="ignore", over="ignore"):
         log_t = np.log(t)
@@ -491,10 +577,10 @@ def _peak_log_estimate(params: WeightParams, t):
 
 
 def log_series_grid(params: WeightParams, t, *, tol=DEFAULT_SERIES_TOL,
-                    max_terms=DEFAULT_MAX_TERMS, sum_below=_SHORTCIRCUIT_LOG):
-    """log S(t) for an array of t >= 0 (see _grid_log_abs); entries whose
-    peak estimate passes sum_below get that estimate, a lower bound."""
-    return _grid_log_abs(params, t, float, tol, max_terms, sum_below)
+                    max_terms=DEFAULT_MAX_TERMS):
+    """log S(t) for an array of t >= 0 (see _grid_log_abs): by the
+    Mittag-Leffler branch from its switch point on, summed below it."""
+    return _grid_log_abs(params, t, float, tol, max_terms)
 
 
 def series_abs2_grid(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
@@ -504,30 +590,31 @@ def series_abs2_grid(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
     Accuracy is relative to the largest term, which is the natural scale
     when the values multiply an exponentially small weight.
     """
-    return 2.0 * _grid_log_abs(params, zeta, complex, tol, max_terms,
-                               _SHORTCIRCUIT_LOG)
+    return 2.0 * _grid_log_abs(params, zeta, complex, tol, max_terms)
 
 
 _GRID_CHUNK = 256
 _ABS2_FLOOR = (8.0 * _EPS) ** 2  # rounding noise of a scaled complex sum
 
 
-def _grid_log_abs(params, z, dtype, tol, max_terms, sum_below):
+def _grid_log_abs(params, z, dtype, tol, max_terms):
     """log|S(z)| entry by entry for an array of t >= 0 (dtype float) or of
     complex zeta, with the single-rescale log-domain summation of
     kernel_series.
 
-    Entries whose peak estimate exceeds sum_below get that estimate instead
-    of a full summation (at the default _SHORTCIRCUIT_LOG, their reciprocal
-    underflows double precision).  Every
-    other entry is summed in index order (a cumsum along its row of the
-    chunk's terms) up to its own stop under _tail_small, rescaled by its
+    A real entry whose continuous peak index x = alpha t^(m/2) reaches
+    _ml_switch(m, tol) gets the log of the Mittag-Leffler leading term
+    (_ml_log), within tol * e^-_STOP_MARGIN relative of S by a proven
+    bound; a complex entry whose peak estimate passes _SHORTCIRCUIT_LOG
+    gets that estimate, a lower bound, since its reciprocal underflows.
+    Every other entry is summed in index order (a cumsum along its row of
+    the chunk's terms) up to its own stop under _tail_small, rescaled by its
     own peak term.  The rows of a chunk come from the stop of its largest
     entry, so the summed entries are sorted by |z| and cut into chunks of
-    at most _GRID_CHUNK entries whose continuous peak indices
-    alpha |z|^(m/2) share one octave, floor(log2(alpha |z|^(m/2) + 8));
-    each entry then gets about the rows it needs.  An entry's row depends
-    only on the entry, so each value is independent of the batch.
+    at most _GRID_CHUNK entries whose x share one octave,
+    floor(log2(x + 8)); each entry then gets about the rows it needs.  An
+    entry's row depends only on the entry, so each value is independent of
+    the batch.
     """
     z = np.asarray(z, dtype=dtype)
     if not np.all(np.isfinite(z)) or (dtype is float and np.any(z < 0.0)):
@@ -538,17 +625,22 @@ def _grid_log_abs(params, z, dtype, tol, max_terms, sum_below):
     out = np.empty(abs_z.shape)
 
     table = moment_table(params)
-    peak_est = _peak_log_estimate(params, abs_z)
-    skip = peak_est > sum_below
-    out[skip] = peak_est[skip]
+    with np.errstate(over="ignore"):
+        x = params.alpha * np.power(abs_z, params.m / 2.0)
+    if dtype is float:
+        closed = x >= _ml_switch(params.m, tol)
+        out[closed] = _ml_log(params.m, x[closed])
+    else:
+        peak_est = _peak_log_estimate(params, abs_z)
+        closed = peak_est > _SHORTCIRCUIT_LOG
+        out[closed] = peak_est[closed]
     zero = abs_z == 0.0
     out[zero] = -table.log_moment(0)
 
-    todo = np.flatnonzero(~(skip | zero))
+    todo = np.flatnonzero(~(closed | zero))
     todo = todo[np.argsort(abs_z[todo], kind="stable")]
     # octave of the continuous peak index, every index below 8 in one band
-    octave = np.floor(np.log2(
-        params.alpha * np.power(abs_z[todo], params.m / 2.0) + 8.0))
+    octave = np.floor(np.log2(x[todo] + 8.0))
     bands = np.split(todo, np.flatnonzero(np.diff(octave)) + 1)
     chunks = [band[start: start + _GRID_CHUNK] for band in bands
               for start in range(0, band.size, _GRID_CHUNK)]

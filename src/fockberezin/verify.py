@@ -26,7 +26,9 @@ from .commutativity import (asymptotic_slopes, defect,
 from .config import RunConfig
 from .quadrature import integrate_radial, radial_moment, unit_symbol
 from .scan import compute_scan, rows_to_csv, parse_csv, cache_from_config
-from .special import WeightParams, kernel_series, moment_table, stieltjes_moment
+from .special import (_EPS, _STOP_MARGIN, WeightParams, _ml_switch,
+                      kernel_series, log_series_grid, moment_table,
+                      stieltjes_moment)
 
 
 @dataclass
@@ -162,6 +164,37 @@ def check_kernel_properties(cfg, cache):
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
+
+def check_ml_branch(cfg, cache):
+    """The Mittag-Leffler branch of log_series_grid against the summed
+    kernel_series, at the first t where the branch fires.  They must agree
+    within the sum of their bounds: kernel_series's own, and for the branch
+    its remainder threshold tol e^-_STOP_MARGIN plus the rounding of
+    x = alpha t^(m/2) (pow and product, under 2 ulps) and of the sum."""
+    worst_gap = worst_share = 0.0
+    for m in (0.5, 1.0, 2.0, 3.0, 10.0):
+        x_switch = _ml_switch(m, cfg.tol_series)
+        for alpha in (1e-3, 1.0, 1e6):
+            p = WeightParams(alpha, m)
+            t = (x_switch / alpha) ** (2.0 / m)
+            while alpha * np.power(t, m / 2.0) < x_switch:
+                t = float(np.nextafter(t, math.inf))
+            x = alpha * np.power(t, m / 2.0)
+            log_s = float(log_series_grid(p, np.array([t]),
+                                          tol=cfg.tol_series,
+                                          max_terms=cfg.series_max_terms)[0])
+            sv = kernel_series(p, t, tol=cfg.tol_series,
+                               max_terms=cfg.series_max_terms)
+            bound = (sv.truncation_error_bound
+                     + cfg.tol_series * math.exp(-_STOP_MARGIN)
+                     + 2.0 * _EPS * (x + abs(log_s)))
+            gap = abs(log_s - sv.log_magnitude)
+            worst_gap = max(worst_gap, gap)
+            worst_share = max(worst_share, gap / bound)
+    return worst_share <= 1.0, (f"max |log S gap| {worst_gap:.2e} at the "
+                                f"switch, {worst_share:.2f} of the bounds "
+                                f"(15 weights)")
+
 
 def check_quad_oracle(cfg, cache):
     """Unit symbol against the closed-form radial moment on a 5x5x5 grid,
@@ -456,6 +489,7 @@ CHECKS = (
     ("kernel-reference", check_kernel_reference),
     ("moments", check_moments),
     ("kernel-properties", check_kernel_properties),
+    ("ml-branch", check_ml_branch),
     ("quad-oracle", check_quad_oracle),
     ("unit-symbol", check_unit_symbol),
     ("berezin-zero", check_berezin_zero),

@@ -136,21 +136,21 @@ class TestULadder:
     def test_m2_closed_form_inner_scale_dominant(self):
         # alpha >> beta: the mass sits near (alpha+beta) r^2 = n+1, far left
         # of beta r^2 = n+1, so the exp-sinh window must follow the decay of
-        # 1/S_alpha; compared in log form, since U overflows there.  Past the
-        # summed range of 1/S (alpha r^2 near 2000 at n = 2000) only a bound
-        # on 1/S is known, and the row raises
+        # 1/S_alpha; compared in log form, since U overflows there.  Where
+        # alpha r^2 passes 2000 (n = 2000 at (1e5, 1), and the window of
+        # (1e6, 1e-3, n = 490) at r^2 = 1e-3) log S comes from the
+        # Mittag-Leffler branch, a value, not a bound, and the rows certify
         cases = [(alpha, beta, n) for alpha, beta in ((100.0, 1.0), (1.0, 0.01))
                  for n in (0, 31, 63, 100, 184)]
         cases += [(1e5, 1.0, 100), (1e3, 1.0, 400), (1e3, 1.0, 600),
-                  (1e3, 1e-3, 400), (1e5, 0.1, 400), (1e3, 10.0, 1000)]
+                  (1e3, 1e-3, 400), (1e5, 0.1, 400), (1e3, 10.0, 1000),
+                  (1e5, 1.0, 2000), (1e6, 1e-3, 490)]
         for alpha, beta, n in cases:
             u = UCache().u(alpha, beta, 2.0, n)
             want = (math.log(math.pi) + 2.0 * n * math.log(alpha)
                     - (n + 1.0) * math.log(alpha + beta))
             assert abs(math.expm1(u.log_value - want)) <= u.rel_error, (
                 alpha, beta, n)
-        with pytest.raises(NonConvergenceError):
-            UCache().u(1e5, 1.0, 2.0, 2000)
 
     def test_first_request_does_not_matter(self):
         """U(n) has the same bits whichever n of its block is asked for

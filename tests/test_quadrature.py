@@ -99,16 +99,11 @@ class TestDecayingSymbol:
 
     D = 1000.0
 
-    def _symbol(self, exact_below=math.inf, decay=D):
+    def _symbol(self, decay=D):
         d = self.D
-
-        def eval_log(r):
-            log_g = -d * r * r
-            return log_g, -log_g <= exact_below
-
         return RadialSymbol(lambda r: math.exp(-d * r * r), 1.0,
                             eval_array=lambda r: np.exp(-d * r * r),
-                            decay=decay, eval_log=eval_log)
+                            decay=decay, eval_log=lambda r: -d * r * r)
 
     def test_log_form_far_below_double_range(self):
         log_val, sign, rel, _, converged = integrate_radial_log(
@@ -116,12 +111,6 @@ class TestDecayingSymbol:
         want = math.lgamma(1001.0) - math.log(2.0) - 1001.0 * math.log(1001.0)
         assert converged and sign == 1.0
         assert abs(math.expm1(log_val - want)) <= max(rel, 1e-12)
-
-    def test_bounded_mass_does_not_converge(self):
-        # log g is only an upper bound past D r^2 = 900, below the mass
-        *_, converged = integrate_radial_log(
-            self._symbol(exact_below=900.0), 1.0, 2.0, 2001.0)
-        assert not converged
 
     @pytest.mark.parametrize("decay", [-1.0, math.nan, math.inf])
     def test_decay_must_be_finite_and_nonnegative(self, decay):

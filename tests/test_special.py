@@ -286,6 +286,24 @@ class TestReproducingKernel:
                 == reproducing_kernel(p, w, z).value.conjugate())
 
 
+def _fires(p, t):
+    """Where log_series_grid takes the Mittag-Leffler branch."""
+    return p.alpha * np.power(t, p.m / 2.0) >= special._ml_switch(
+        p.m, special.DEFAULT_SERIES_TOL)
+
+
+def _switch_bracket(p):
+    """The first t at which the branch fires and its neighbours within
+    three ulps on either side."""
+    t = (special._ml_switch(p.m, special.DEFAULT_SERIES_TOL) / p.alpha
+         ) ** (2.0 / p.m)
+    while _fires(p, t):
+        t = float(np.nextafter(t, 0.0))
+    while not _fires(p, t):
+        t = float(np.nextafter(t, math.inf))
+    return t * (1.0 + _EPS * np.arange(-3.0, 4.0))
+
+
 class TestGridEvaluators:
     def test_matches_scalar_path(self):
         p = WeightParams(1.3, 4.0)
@@ -296,15 +314,21 @@ class TestGridEvaluators:
 
     def test_batch_independence(self):
         """Each entry's value must not depend on its batch mates: whole,
-        split and single-entry batches agree bit for bit.  257 summed
-        entries put exactly one in the last chunk of the whole batch; the
-        last two lie past the summation cut-off of the peak estimate."""
+        split and single-entry batches agree bit for bit.  The real entries
+        lie on both sides of the Mittag-Leffler switch, seven of them
+        within three ulps of it; the complex ones with the last two |z|
+        lie past the summation cut-off of the peak estimate."""
         alpha = 1.7
         rng = np.random.default_rng(4)
         for m in (0.5, 1.0, 4.0, 10.0):
             p = WeightParams(alpha, m)
-            ts = np.append(np.geomspace(1e-3, (700.0 / alpha) ** (2.0 / m), 257),
-                           (np.array([900.0, 2000.0]) / alpha) ** (2.0 / m))
+            ts = np.concatenate([
+                np.geomspace(1e-3, (700.0 / alpha) ** (2.0 / m), 257),
+                _switch_bracket(p),
+                (np.array([900.0, 2000.0]) / alpha) ** (2.0 / m)])
+            closed = _fires(p, ts)
+            assert closed.any() and not closed.all()
+            assert closed[257:264].any() and not closed[257:264].all()
             zs = ts * np.exp(1j * rng.uniform(-np.pi, np.pi, ts.size))
             for grid, xs in ((log_series_grid, ts), (series_abs2_grid, zs)):
                 whole = grid(p, xs)
@@ -401,6 +425,100 @@ class TestGridEvaluators:
         assert series_abs2_grid(p, np.empty((2, 0), complex)).shape == (2, 0)
 
 
+class TestMittagLefflerBranch:
+    """log S on the positive axis from the leading term of E_{a,a}(y),
+    a = 2/m, y = alpha^a t, where the remainder bound meets the stop rule."""
+
+    M = (0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0)
+
+    @staticmethod
+    def _log_sum(alpha, m, t):
+        """log sum_n y^n / Gamma(a n + a) at the working precision, term by
+        term in log form, to e^-80 of the sum past the peak."""
+        from mpmath import exp, log, loggamma, mpf
+        a = 2 / mpf(m)
+        log_y = a * log(mpf(alpha)) + log(mpf(t))
+        x = exp(log_y / a)
+        total, n = mpf(0), 0
+        while True:
+            log_term = n * log_y - loggamma(a * n + a)
+            total += exp(log_term)
+            if a * n > x and log_term < log(total) - 80:
+                return log(total)
+            n += 1
+            assert n < 10 ** 5, (alpha, m, t)
+
+    def test_against_mpmath_at_and_past_the_switch(self):
+        """At the first t where the branch fires and at three times its x,
+        against the defining series at 30 digits: within one eps of
+        |log S|, the rounding that the exp-sinh engine's E_k counts for
+        |log g|, plus the remainder threshold."""
+        from mpmath import mp
+        target = special.DEFAULT_SERIES_TOL * math.exp(-special._STOP_MARGIN)
+        for m in self.M:
+            for alpha in (1e-3, 1.0, 1e3, 1e6):
+                p = WeightParams(alpha, m)
+                t0 = _switch_bracket(p)[3]
+                ts = np.array([t0, t0 * 3.0 ** (2.0 / m)])
+                assert _fires(p, ts).all()
+                got = log_series_grid(p, ts)
+                with mp.workdps(30):
+                    want = [float(self._log_sum(alpha, m, t)) for t in ts]
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= _EPS * abs(w) + target, (m, alpha, g, w)
+
+    def test_remainder_bound_holds_below_the_switch(self):
+        """|S - leading - oscillating| is within the ray integral's bound
+        1 / (pi |cos theta| y c), and |S / leading - 1| within the relative
+        bound the switch is solved from, at x = 2, 10, 20 and at the switch."""
+        from mpmath import exp, mp, mpc, mpf, pi as mp_pi
+        for m in self.M:
+            a = 2.0 / m
+            theta, ks, coef = special._ml_contour(m)
+            assert math.pi / 2 < theta < math.pi
+            assert ks == tuple(k for k in range(1, 8)
+                               if 2.0 * math.pi * k / a < theta)
+            c = (abs(math.sin(a * theta)) if math.cos(a * theta) > 0.0
+                 else 1.0)
+            assert coef == pytest.approx(
+                a / (math.pi * abs(math.cos(theta)) * c), rel=1e-15)
+            x_switch = special._ml_switch(m, special.DEFAULT_SERIES_TOL)
+            for x in (2.0, 10.0, 20.0, x_switch):
+                with mp.workdps(40):
+                    am = 2 / mpf(m)
+                    s = exp(self._log_sum(1.0, m, mpf(x) ** am))
+                    poles = [mpc(0, 2) * mp_pi * k / am
+                             for k in (0,) + ks + tuple(-k for k in ks)]
+                    res = sum(((mpf(x) * exp(w)) ** (1 - am)
+                               * exp(mpf(x) * exp(w))) for w in poles) / am
+                    rem = float(abs(s - res))
+                    lead = mpf(x) ** (1 - am) * exp(mpf(x)) / am
+                    rel = float(abs(s / lead - 1))
+                y = x ** a
+                assert rem <= 1.0 / (math.pi * abs(math.cos(theta)) * y * c), (
+                    m, x)
+                assert rel <= special._ml_rel_bound(a, ks, coef, x), (m, x)
+
+    def test_m2_is_alpha_t(self):
+        """At m = 2, S(t) = e^(alpha t): past the switch the branch gives
+        alpha t, bit for bit."""
+        for alpha in (1e-3, 1.0, 1e3, 1e6):
+            p = WeightParams(alpha, 2.0)
+            ts = np.append(_switch_bracket(p), np.geomspace(40.0, 1e4, 50)
+                           / alpha)
+            closed = _fires(p, ts)
+            assert closed.sum() >= 53
+            got = log_series_grid(p, ts)
+            assert np.array_equal(got[closed], alpha * ts[closed]), alpha
+
+    def test_overflowing_peak_index_is_inf(self):
+        # alpha t^(m/2) overflows double range: log S is inf, not NaN
+        for m in (3.0, 10.0):
+            p = WeightParams(1.0, m)
+            got = log_series_grid(p, np.array([1e300, 1.7e308]))
+            assert np.all(got == math.inf), m
+
+
 class TestCircleSeries:
     """log|S|^2 on equispaced circle nodes by one FFT per circle."""
 
@@ -413,12 +531,15 @@ class TestCircleSeries:
         split and single-radius batches agree bit for bit on both
         half-meshes.  The radii are s = 0, 257 summed ones (one alone in
         the last chunk of the whole batch) and two past the summation
-        cut-off of the peak estimate."""
+        cut-off of the peak estimate.  The circles are summed on both sides
+        of the switch of the real grid's Mittag-Leffler branch, seven of
+        them within three ulps of it."""
         alpha = 1.7
         for m in (0.5, 1.0, 4.0, 10.0):
             p = WeightParams(alpha, m)
             s = np.concatenate([
                 [0.0], np.geomspace(1e-3, (700.0 / alpha) ** (2.0 / m), 257),
+                _switch_bracket(p),
                 (np.array([900.0, 2000.0]) / alpha) ** (2.0 / m)])
             batches = {
                 "whole": [special.CircleSeries(p, s)],
