@@ -39,9 +39,9 @@ from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, CircleSeries,
                       WeightParams, kernel_series, log_series_grid)
 # bench/tracing.py wraps this module attribute; the 2-D route no longer calls it
 from .special import series_abs2_grid  # noqa: F401
-from .quadrature import (DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_ABS,
-                         DEFAULT_QUAD_TOL_REL, QuadResult, RadialSymbol,
-                         _check_bound, _run_de_pair, integrate_radial)
+from .quadrature import (DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_REL, QuadResult,
+                         RadialSymbol, _check_bound, _run_de_pair,
+                         integrate_radial)
 
 _EPS = np.finfo(float).eps
 
@@ -98,7 +98,7 @@ def _normalization_log(params: WeightParams) -> float:
 
 
 def berezin_at_zero(params: WeightParams, f, *, tol_rel=DEFAULT_QUAD_TOL_REL,
-                    tol_abs=DEFAULT_QUAD_TOL_ABS, max_levels=DEFAULT_MAX_LEVELS,
+                    max_levels=DEFAULT_MAX_LEVELS,
                     series_tol=DEFAULT_SERIES_TOL) -> QuadResult:
     """(B f)(0): the integral of f against the normalized weight measure.
 
@@ -108,14 +108,14 @@ def berezin_at_zero(params: WeightParams, f, *, tol_rel=DEFAULT_QUAD_TOL_REL,
     Both routes reject symbol values that are NaN or exceed the sup bound.
     """
     if isinstance(f, PlanarSymbol):
-        return berezin_general(params, f, 0j, tol_rel=tol_rel, tol_abs=tol_abs,
+        return berezin_general(params, f, 0j, tol_rel=tol_rel,
                                max_levels=max_levels, series_tol=series_tol)
     if isinstance(f, ExpSymbol):
         f = f.as_radial(params.m)
     elif not isinstance(f, RadialSymbol):
         raise TypeError(f"unsupported symbol type {type(f).__name__}")
     res = integrate_radial(f, params.alpha, params.m, 1.0, tol_rel=tol_rel,
-                           tol_abs=tol_abs, max_levels=max_levels)
+                           max_levels=max_levels)
     factor = math.exp(_normalization_log(params))
     return QuadResult(res.value * factor, res.abs_error_estimate * factor,
                       res.evaluations, res.converged)
@@ -261,7 +261,7 @@ class _KernelWeightedAverage:
 
 
 def berezin_general(params: WeightParams, f, z: complex, *,
-                    tol_rel=DEFAULT_QUAD_TOL_REL, tol_abs=DEFAULT_QUAD_TOL_ABS,
+                    tol_rel=DEFAULT_QUAD_TOL_REL,
                     max_levels=DEFAULT_MAX_LEVELS, series_tol=DEFAULT_SERIES_TOL,
                     max_terms=DEFAULT_MAX_TERMS) -> QuadResult:
     """(B f)(z) by 2-D polar quadrature against |S(z conj(w))|^2.
@@ -293,7 +293,7 @@ def berezin_general(params: WeightParams, f, z: complex, *,
         return sign, log_abs - s_z.log_magnitude
 
     t_sum, _, log_scale, err_s, _, converged = _run_de_pair(
-        g_pair, params.alpha, params.m, 1.0, tol_rel, tol_abs, max_levels)
+        g_pair, params.alpha, params.m, 1.0, tol_rel, max_levels)
     factor = math.exp(_normalization_log(params) + params.log_gamma_2m
                       + log_scale)
     value = t_sum * factor

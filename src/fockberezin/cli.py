@@ -50,8 +50,6 @@ def _add_config_flags(p):
                    help="relative series truncation tolerance")
     p.add_argument("--tol-quad-rel", type=float, dest="tol_quad_rel",
                    help="relative quadrature tolerance")
-    p.add_argument("--tol-quad-abs", type=float, dest="tol_quad_abs",
-                   help="absolute quadrature tolerance")
     p.add_argument("--series-max-terms", type=int, dest="series_max_terms")
     p.add_argument("--quad-max-levels", type=int, dest="quad_max_levels")
     p.add_argument("--fd-step-rel", type=float, dest="fd_step_rel",

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berezin import berezin_exp_radial_grid
+from .berezin import _normalization_log, berezin_exp_radial_grid
 from .errors import NonConvergenceError
-from .quadrature import (DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_ABS,
-                         DEFAULT_QUAD_TOL_REL, QuadResult, RadialSymbol,
-                         integrate_radial_log, integrate_radial_log_powers)
+from .quadrature import (DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_REL, QuadResult,
+                         RadialSymbol, integrate_radial_log,
+                         integrate_radial_log_powers)
 from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, WeightParams,
                       log_series_grid, moment_table)
 
@@ -122,19 +122,18 @@ class UCache:
     converge raises its NonConvergenceError only when that n is asked for.
     Blocks are computed under the cache's lock, so concurrent callers never
     repeat one.  Values are pure functions of (alpha, beta, m, n) and the
-    tolerance knobs, and every cached entry is computed by a
+    cache's four settings (series_tol, max_terms, quad_tol_rel,
+    quad_max_levels), and every cached entry is computed by a
     batching-independent summation, so all callers observe identical floats
     whatever the order of their requests.
     """
 
     def __init__(self, *, series_tol=DEFAULT_SERIES_TOL,
                  max_terms=DEFAULT_MAX_TERMS, quad_tol_rel=DEFAULT_QUAD_TOL_REL,
-                 quad_tol_abs=DEFAULT_QUAD_TOL_ABS,
                  quad_max_levels=DEFAULT_MAX_LEVELS):
         self.series_tol = series_tol
         self.max_terms = max_terms
         self.quad_tol_rel = quad_tol_rel
-        self.quad_tol_abs = quad_tol_abs
         self.quad_max_levels = quad_max_levels
         self._blocks: dict[tuple[float, float, float, int], UBlock] = {}
         self._symbols: dict[tuple[float, float], RadialSymbol] = {}
@@ -235,7 +234,7 @@ def _u_compute(alpha, beta, m, n0, cache: UCache) -> UBlock:
     n = np.arange(n0, n0 + _U_BLOCK, dtype=float)
     (log_int, sign, rel, converged), _ = integrate_radial_log_powers(
         g, beta, m, 2.0 * n + 1.0, tol_rel=cache.quad_tol_rel,
-        tol_abs=cache.quad_tol_abs, max_levels=cache.quad_max_levels)
+        max_levels=cache.quad_max_levels)
     params = WeightParams(alpha, m)
     # log Gamma((2n+2)/m) recovered from the moment table entries
     log_s = moment_table(params).log_moments(n0 + _U_BLOCK)[n0:]
@@ -448,7 +447,6 @@ def derivative_identity_check(alpha: float, beta: float, m: float, n: int, *,
         cache = UCache()
     tight = UCache(series_tol=cache.series_tol, max_terms=cache.max_terms,
                    quad_tol_rel=min(cache.quad_tol_rel, 1e-14),
-                   quad_tol_abs=cache.quad_tol_abs,
                    quad_max_levels=cache.quad_max_levels)
     tight._symbols = cache._symbols  # node values do not depend on quad tol
     h = h_rel * beta
@@ -487,7 +485,7 @@ def asymptotic_slopes(m: float, alpha: float, beta_grid, *,
         for power, dest in ((1.0, logs0), (2.0 * p + 1.0, logsp)):
             log_int, _, rel, _, converged = integrate_radial_log(
                 g, b, m, power, tol_rel=cache.quad_tol_rel,
-                tol_abs=cache.quad_tol_abs, max_levels=cache.quad_max_levels)
+                max_levels=cache.quad_max_levels)
             if not converged:
                 raise NonConvergenceError(
                     f"slope integral failed at beta={b}, power={power}")
@@ -500,7 +498,6 @@ def asymptotic_slopes(m: float, alpha: float, beta_grid, *,
 
 def nested_by_composition(alpha: float, beta: float, m: float, delta: float, *,
                           tol_rel=DEFAULT_QUAD_TOL_REL,
-                          tol_abs=DEFAULT_QUAD_TOL_ABS,
                           max_levels=DEFAULT_MAX_LEVELS,
                           series_tol=DEFAULT_SERIES_TOL) -> QuadResult:
     """(B_beta B_alpha f_delta)(0) by direct numerical composition.
@@ -508,6 +505,13 @@ def nested_by_composition(alpha: float, beta: float, m: float, delta: float, *,
     The inner transform is evaluated on the outer quadrature nodes through
     the radial series route, so this shares no code path with the U-series
     assembly in nested_at_zero and serves as its independent cross-check.
+
+    The error adds to the quadrature's that of the inner transform, the
+    ratio of two values of S.  Each carries series_tol, and the log of the
+    ratio up to about 4 ulps of the sum of their peak indices x = alpha
+    t^(m/2): alpha r^m at the base radius plus alpha^2/(alpha+delta) r^m
+    at the contracted one.  The mean of r^m under the integrand is a moment
+    ratio, taken from the same exp-sinh run as the value.
     """
     _validate_scales(alpha, beta, m)
     inner = WeightParams(alpha, m)
@@ -518,6 +522,10 @@ def nested_by_composition(alpha: float, beta: float, m: float, delta: float, *,
 
     g = RadialSymbol(lambda r: float(g_array(np.array([r]))[0]), 1.0,
                      eval_array=g_array)
-    from .berezin import berezin_at_zero
-    return berezin_at_zero(outer, g, tol_rel=tol_rel, tol_abs=tol_abs,
-                           max_levels=max_levels, series_tol=series_tol)
+    (log_int, _, rel, converged), evals = integrate_radial_log_powers(
+        g, beta, m, [1.0, 1.0 + m], tol_rel=tol_rel, max_levels=max_levels)
+    value = math.exp(_normalization_log(outer) + log_int[0])
+    x_mean = (alpha * (2.0 * alpha + delta) / (alpha + delta)
+              * math.exp(log_int[1] - log_int[0]))
+    rel_total = rel[0] + 2.0 * series_tol + 4.0 * _EPS * (1.0 + x_mean)
+    return QuadResult(value, value * rel_total, evals, converged.all())

@@ -13,14 +13,13 @@ class ConfigError(ValueError):
 class RunConfig:
     tol_series: float = 1e-13
     tol_quad_rel: float = 1e-12
-    tol_quad_abs: float = 1e-300
     series_max_terms: int = 20000
     quad_max_levels: int = 12
     fd_step_rel: float = 1e-4
     defect_kappa: float = 10.0
 
     def validate(self):
-        for name in ("tol_series", "tol_quad_rel", "tol_quad_abs", "fd_step_rel",
+        for name in ("tol_series", "tol_quad_rel", "fd_step_rel",
                      "defect_kappa"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} must be > 0")
@@ -34,7 +33,6 @@ class RunConfig:
 KEY_TO_FIELD = {
     "tol.series": "tol_series",
     "tol.quad.rel": "tol_quad_rel",
-    "tol.quad.abs": "tol_quad_abs",
     "series.max_terms": "series_max_terms",
     "quad.max_levels": "quad_max_levels",
     "fd.step_rel": "fd_step_rel",

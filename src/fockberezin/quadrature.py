@@ -28,7 +28,6 @@ import numpy as np
 from .special import log_gamma
 
 DEFAULT_QUAD_TOL_REL = 1e-12
-DEFAULT_QUAD_TOL_ABS = 1e-300
 DEFAULT_MAX_LEVELS = 12
 
 _A = math.pi / 2.0     # exp-sinh steepness
@@ -139,19 +138,21 @@ class _DESum:
 
     Each term's exp() carries about E_k ulps, E_k = |q x_k| + u_k + |log
     g_k| + |log w_k| the absolute size of node k's exponent, so eps sum_k h
-    |t_k| E_k is a row's rounding floor.  A row whose level-to-level
-    difference fails to fall by 4x while it lies within _FLOOR_ULPS times
-    that floor can no longer meet its tolerance and stops, unconverged.
+    |t_k| E_k is a row's rounding floor.  One rule stops every row: from
+    level 2 on, a row converges once its level-to-level difference is at
+    most max(tol_rel |t|, _FLOOR_ULPS eps sum_k h |t_k| E_k), its relative
+    tolerance or its own rounding floor, below which no further level can
+    take it.  The rule reads only the row's own sums, so it does not depend
+    on the units of the integral.  A row that meets neither by max_levels
+    stops unconverged.
     """
 
-    def __init__(self, q, log_c, m, g_pair, tol_rel, log_tol_abs_scaled,
-                 max_levels, lo_shift):
+    def __init__(self, q, log_c, m, g_pair, tol_rel, max_levels, lo_shift):
         self.q = q
         self.log_c = log_c
         self.m = m
         self.g_pair = g_pair
         self.tol_rel = tol_rel
-        self.log_tol_abs_scaled = log_tol_abs_scaled   # one per row
         self.max_levels = max_levels
         width = _LOG_WINDOW_DECAY if lo_shift > 0.0 else _LOG_WINDOW
         windows = [_u_window(qj, width) for qj in q.tolist()]
@@ -180,27 +181,22 @@ class _DESum:
             log_g = np.where(live, log_g, -np.inf)
         return sgn, q[:, None] * x - u + log_g + log_w, np.abs(x), rest
 
-    def _tolerance(self, t_sum, floor, scale, log_tol_abs):
+    def _tolerance(self, t_sum, e_sum):
         """The error that meets each row's tolerance: the relative one on
-        t_sum, or, once the error is down to the rounding floor of the
-        row's terms (floor, _FLOOR_ULPS eps e_sum), the absolute one
-        (rescaled to scale).  The absolute tolerance alone would pass any
-        row whose nodes miss the integrand's mass: its sum then sits far
-        below the tolerance while being far from the value."""
-        tol_abs = np.exp(np.minimum(log_tol_abs - scale, 700.0))
+        t_sum, or the rounding floor of the row's terms, _FLOOR_ULPS eps
+        e_sum (e_sum = sum_k h |t_k| E_k)."""
         return np.maximum(self.tol_rel * np.abs(t_sum),
-                          np.minimum(floor, tol_abs))
+                          _FLOOR_ULPS * _EPS * e_sum)
 
     def run(self):
         """Arrays over the rows: t_sum, a_sum, scale, err and converged.
 
         The rows still refining are the columns of the arrays that follow
-        them through the levels: their index, q, log tol_abs, node range
-        per level and state.  A level rescales, sums and tests all of them
-        with array operations, and drops those that converge, reach their
-        rounding floor or run out of levels."""
+        them through the levels: their index, q, node range per level and
+        state.  A level rescales, sums and tests all of them with array
+        operations, and drops those that converge or run out of levels."""
         n_rows = self.q.size
-        row, q, log_tol_abs = np.arange(n_rows), self.q, self.log_tol_abs_scaled
+        row, q = np.arange(n_rows), self.q
         # per level and row, the nodes k h inside the window, as (k_lo,
         # -k_hi); a window with none takes the node at 0
         bounds = np.multiply.outer(
@@ -247,28 +243,19 @@ class _DESum:
             new *= h
             if level == 0:
                 sums[...] = new
-                done = np.full(row.size, level == self.max_levels)
             else:
                 sums *= adj
                 prev = sums[0].copy()
                 sums *= 0.5
                 sums += new
-                quarter = 0.25 * err
                 np.abs(np.subtract(sums[0], prev, out=err), out=err)
-                floor = _FLOOR_ULPS * _EPS * sums[2]
-                # at the rounding floor: the difference no longer falls 4x
-                done = (err > quarter) & (err <= floor)
                 if level >= 2:
-                    tol = self._tolerance(sums[0], floor, scale, log_tol_abs)
-                    converged = err <= tol
-                    state[5] = converged
-                    done |= converged
-                if level == self.max_levels:
-                    done[:] = True
+                    state[5] = err <= self._tolerance(sums[0], sums[2])
+            done = (state[5] > 0.0) | (level == self.max_levels)
             if np.count_nonzero(done):
                 out[:, row[done]] = state[:, done]
                 keep = ~done
-                row, q, log_tol_abs = row[keep], q[keep], log_tol_abs[keep]
+                row, q = row[keep], q[keep]
                 bounds, state = bounds[:, :, keep], state[:, keep]
             level += 1
         t, a, s, sc, e, converged = out
@@ -277,8 +264,7 @@ class _DESum:
         # row without a level difference has only the floor
         e = np.fmax(e, _EPS * (14.0 * a + s))
         # the floor may push the estimate past tolerance
-        converged = (converged > 0.0) & (e <= self._tolerance(
-            t, _FLOOR_ULPS * _EPS * s, sc, self.log_tol_abs_scaled))
+        converged = (converged > 0.0) & (e <= self._tolerance(t, s))
         # a row that saw no term has t = 0 on any scale
         return t, a, np.where(sc > _NO_TERM, sc, 0.0), e, converged
 
@@ -294,7 +280,7 @@ def _check_bound(gv, sup_bound):
             f"symbol exceeded its declared sup bound {sup_bound} (saw {top})")
 
 
-def _run_de_pairs(g_pair, c, m, powers, tol_rel, tol_abs, max_levels, decay):
+def _run_de_pairs(g_pair, c, m, powers, tol_rel, max_levels, decay):
     """One exp-sinh run for every power in powers, for a g that decays like
     exp(-decay r^m).  Returns arrays over the powers (t_sum, a_sum,
     log_scale, err, converged) and the number of g evaluations."""
@@ -309,18 +295,14 @@ def _run_de_pairs(g_pair, c, m, powers, tol_rel, tol_abs, max_levels, decay):
         raise ValueError(f"power must be >= 0, got {float(powers.min())!r}")
     q = (powers + 1.0) / m
     log_pref = -math.log(m) - q * math.log(c)
-    log_tol_abs = (math.log(tol_abs) - log_pref if tol_abs > 0.0
-                   else np.full(q.size, -math.inf))
-    engine = _DESum(q, math.log(c), m, g_pair, tol_rel, log_tol_abs, max_levels,
+    engine = _DESum(q, math.log(c), m, g_pair, tol_rel, max_levels,
                     math.log1p(decay / c))
     t_sum, a_sum, scale, err, converged = engine.run()
     return t_sum, a_sum, scale + log_pref, err, converged, engine.evals
 
 
-def _run_de_pair(g_pair, c, m, power, tol_rel, tol_abs, max_levels,
-                 decay=0.0):
-    rows = _run_de_pairs(g_pair, c, m, [power], tol_rel, tol_abs, max_levels,
-                         decay)
+def _run_de_pair(g_pair, c, m, power, tol_rel, max_levels, decay=0.0):
+    rows = _run_de_pairs(g_pair, c, m, [power], tol_rel, max_levels, decay)
     (t_sum,), (a_sum,), (log_scale,), (err,), (converged,) = (
         v.tolist() for v in rows[:5])
     return t_sum, a_sum, log_scale, err, rows[5], converged
@@ -350,17 +332,15 @@ def _err_floor(err, t_sum, a_sum, log_scale):
 
 
 def integrate_radial(g: RadialSymbol, c: float, m: float, power: float = 0.0, *,
-                     tol_rel=DEFAULT_QUAD_TOL_REL, tol_abs=DEFAULT_QUAD_TOL_ABS,
+                     tol_rel=DEFAULT_QUAD_TOL_REL,
                      max_levels=DEFAULT_MAX_LEVELS) -> QuadResult:
     """Approximate integral_0^inf r^power g(r) exp(-c r^m) dr.
 
     Never raises on slow convergence: the best value is returned with
-    converged=False after max_levels doublings, or sooner once the
-    estimate stops falling at its rounding floor.
+    converged=False after max_levels doublings.
     """
     t_sum, a_sum, log_scale, err, evals, converged = _run_de_pair(
-        _pair_from_symbol(g), c, m, power, tol_rel, tol_abs, max_levels,
-        g.decay)
+        _pair_from_symbol(g), c, m, power, tol_rel, max_levels, g.decay)
     err = _err_floor(err, t_sum, a_sum, log_scale)
     with np.errstate(over="ignore"):
         factor = float(np.exp(log_scale))
@@ -369,15 +349,13 @@ def integrate_radial(g: RadialSymbol, c: float, m: float, power: float = 0.0, *,
 
 def integrate_radial_log_powers(g: RadialSymbol, c: float, m: float, powers, *,
                                 tol_rel=DEFAULT_QUAD_TOL_REL,
-                                tol_abs=DEFAULT_QUAD_TOL_ABS,
                                 max_levels=DEFAULT_MAX_LEVELS):
     """integrate_radial_log for every power in powers, from one exp-sinh
     run whose nodes all the powers share.  Returns arrays over the powers
     (log |value|, sign, relative error, converged), and the number of
     evaluations of g."""
     t_sum, a_sum, log_scale, err, converged, evals = _run_de_pairs(
-        _pair_from_symbol(g), c, m, powers, tol_rel, tol_abs, max_levels,
-        g.decay)
+        _pair_from_symbol(g), c, m, powers, tol_rel, max_levels, g.decay)
     err = _err_floor(err, t_sum, a_sum, log_scale)
     mod = np.abs(t_sum)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -388,13 +366,12 @@ def integrate_radial_log_powers(g: RadialSymbol, c: float, m: float, powers, *,
 
 
 def integrate_radial_log(g: RadialSymbol, c: float, m: float, power: float = 0.0, *,
-                         tol_rel=DEFAULT_QUAD_TOL_REL, tol_abs=DEFAULT_QUAD_TOL_ABS,
+                         tol_rel=DEFAULT_QUAD_TOL_REL,
                          max_levels=DEFAULT_MAX_LEVELS):
     """Like integrate_radial but in log form, for results far outside
     double range: returns (log |value|, sign, relative error, evals, converged)."""
     rows, evals = integrate_radial_log_powers(
-        g, c, m, [power], tol_rel=tol_rel, tol_abs=tol_abs,
-        max_levels=max_levels)
+        g, c, m, [power], tol_rel=tol_rel, max_levels=max_levels)
     (log_value,), (sign,), (rel,), (converged,) = (v.tolist() for v in rows)
     return log_value, sign, rel, evals, converged
 

@@ -37,7 +37,7 @@ def fmt17(x: float) -> str:
 
 def cache_from_config(cfg: RunConfig) -> UCache:
     return UCache(series_tol=cfg.tol_series, max_terms=cfg.series_max_terms,
-                  quad_tol_rel=cfg.tol_quad_rel, quad_tol_abs=cfg.tol_quad_abs,
+                  quad_tol_rel=cfg.tol_quad_rel,
                   quad_max_levels=cfg.quad_max_levels)
 
 

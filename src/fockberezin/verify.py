@@ -206,7 +206,6 @@ def check_quad_oracle(cfg, cache):
             for n in range(5):
                 res = integrate_radial(unit_symbol(), c, m, 2.0 * n + 1.0,
                                        tol_rel=cfg.tol_quad_rel,
-                                       tol_abs=cfg.tol_quad_abs,
                                        max_levels=cfg.quad_max_levels)
                 want = math.exp(radial_moment(c, m, n)) / (2.0 * math.pi)
                 err = abs(res.value - want)
@@ -252,7 +251,6 @@ def check_berezin_zero(cfg, cache):
             for d in (0.0, 0.5, 1.0, 4.0):
                 res = berezin_at_zero(WeightParams(a, m), ExpSymbol(d),
                                       tol_rel=cfg.tol_quad_rel,
-                                      tol_abs=cfg.tol_quad_abs,
                                       max_levels=cfg.quad_max_levels)
                 want = (a / (a + d)) ** (2.0 / m)
                 worst = max(worst, _rel(res.value, want))

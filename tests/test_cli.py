@@ -183,6 +183,22 @@ class TestCliCommands:
         assert rc == 2
         assert "unknown key 'threads'" in capsys.readouterr().err
 
+    def test_tol_quad_abs_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["defect", "--m", "2", "--alpha", "1", "--beta", "2",
+                  "--delta", "1", "--tol-quad-abs", "1e-300"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --tol-quad-abs" in (
+            capsys.readouterr().err)
+
+    def test_tol_quad_abs_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol.quad.abs = 1e-300\n")
+        rc = main(["defect", "--m", "2", "--alpha", "1", "--beta", "2",
+                   "--delta", "1", "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown key 'tol.quad.abs'" in capsys.readouterr().err
+
     def test_moments_output(self, capsys):
         rc = main(["moments", "--m", "2", "--alpha", "1", "--n-max", "5"])
         out = capsys.readouterr().out
@@ -246,11 +262,14 @@ class TestCliCommands:
         assert "non-convergence" in err
 
     def test_nonconvergence_with_overflowing_partial(self, capsys):
-        # an unconverged U(n) whose partial value overflows still exits 3
+        # an unconverged U(n) whose partial value overflows still exits 3:
+        # at 6 levels the series reaches U(836), which has not converged
         rc = main(["defect", "--m", "4", "--alpha", "1.075990301847395",
-                   "--beta", "0.020672902749768567", "--delta", "0.004"])
+                   "--beta", "0.020672902749768567", "--delta", "0.004",
+                   "--quad-max-levels", "6"])
         assert rc == 3
-        assert "non-convergence" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-convergence" in err and "n=836)" in err
 
     def test_kernel_log_scale_output(self, capsys):
         # value overflows linear doubles; the log form stays exact

@@ -4,6 +4,7 @@ import math
 import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -109,13 +110,13 @@ class TestUFunction:
         with pytest.raises(ValueError):
             u_function(1.0, 1.0, -2.0, 0, cache=cache)
 
-    def test_nonconvergence_partial_overflows_to_inf(self, cache):
+    def test_nonconvergence_partial_overflows_to_inf(self):
         # the unconverged integral's partial value exceeds float range; it
-        # is reported as inf, not raised as an OverflowError (the rounding
-        # of this row's exponents alone exceeds the tolerance)
+        # is reported as inf, not raised as an OverflowError (7 levels
+        # leave 59 of the 64 rows of this block unconverged)
         with pytest.raises(NonConvergenceError) as ei:
             u_function(1.075990301847395, 0.020672902749768567, 4.0, 2240,
-                       cache=cache)
+                       cache=UCache(quad_max_levels=7))
         assert ei.value.partial == math.inf
 
 
@@ -139,18 +140,25 @@ class TestULadder:
         # 1/S_alpha; compared in log form, since U overflows there.  Where
         # alpha r^2 passes 2000 (n = 2000 at (1e5, 1), and the window of
         # (1e6, 1e-3, n = 490) at r^2 = 1e-3) log S comes from the
-        # Mittag-Leffler branch, a value, not a bound, and the rows certify
+        # Mittag-Leffler branch, a value, not a bound, and the rows certify.
+        # The last four rows converge on their rounding floor, above
+        # tol_rel, whatever the size of their integral.  The closed form is
+        # taken in mpmath: in doubles it rounds at about eps 2n |log alpha|.
         cases = [(alpha, beta, n) for alpha, beta in ((100.0, 1.0), (1.0, 0.01))
                  for n in (0, 31, 63, 100, 184)]
         cases += [(1e5, 1.0, 100), (1e3, 1.0, 400), (1e3, 1.0, 600),
                   (1e3, 1e-3, 400), (1e5, 0.1, 400), (1e3, 10.0, 1000),
                   (1e5, 1.0, 2000), (1e6, 1e-3, 490)]
+        cases += [(100.0, 1.0, 1270), (1e-3, 1e-3, 2000), (10.0, 10.0, 2240),
+                  (1e3, 1e-3, 2240)]
         for alpha, beta, n in cases:
             u = UCache().u(alpha, beta, 2.0, n)
-            want = (math.log(math.pi) + 2.0 * n * math.log(alpha)
-                    - (n + 1.0) * math.log(alpha + beta))
-            assert abs(math.expm1(u.log_value - want)) <= u.rel_error, (
-                alpha, beta, n)
+            with mpmath.workdps(40):
+                a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+                want = (mpmath.log(mpmath.pi) + 2 * n * mpmath.log(a)
+                        - (n + 1) * mpmath.log(a + b))
+                err = abs(mpmath.expm1(mpmath.mpf(u.log_value) - want))
+            assert err <= u.rel_error, (alpha, beta, n)
 
     def test_first_request_does_not_matter(self):
         """U(n) has the same bits whichever n of its block is asked for
@@ -165,16 +173,18 @@ class TestULadder:
             assert backward.u(*args, n) == filled.u(*args, n), n
 
     def test_unconverged_row_raises_only_when_asked(self):
+        # at 7 levels, 59 rows of the block of 2240 stay unconverged and 5,
+        # 2265 among them, converge
         args = (1.075990301847395, 0.020672902749768567, 4.0)
-        assert 2219 // _U_BLOCK == 2221 // _U_BLOCK
-        cache = UCache()
+        assert 2241 // _U_BLOCK == 2265 // _U_BLOCK
+        cache = UCache(quad_max_levels=7)
         for _ in range(2):
             with pytest.raises(NonConvergenceError) as ei:
-                cache.u(*args, 2221)
+                cache.u(*args, 2241)
             assert ei.value.partial == math.inf
-            assert f"m={args[2]},n=2221)" in str(ei.value)
-        u = cache.u(*args, 2219)
-        assert u.n == 2219 and u.value > 0.0 and u.rel_error < 1e-11
+            assert f"m={args[2]},n=2241)" in str(ei.value)
+        u = cache.u(*args, 2265)
+        assert u.n == 2265 and u.value > 0.0 and u.rel_error < 1e-11
 
     def test_threads_compute_a_block_once(self, monkeypatch):
         computed = []
@@ -204,9 +214,10 @@ class TestULadder:
 
 
 class TestRoundingFloor:
-    """A U row whose level-to-level difference stops falling inside the
-    rounding of its own terms stops refining, unconverged, before
-    max_levels; rows still converging are left alone."""
+    """A U row whose level-to-level difference falls inside the rounding
+    floor of its own terms converges there, before max_levels, even where
+    that floor lies above tol_rel; rows that meet tol_rel first are left
+    alone."""
 
     @staticmethod
     def _rows(alpha, beta, m, ns):
@@ -219,16 +230,17 @@ class TestRoundingFloor:
         # exponent, whose rounding alone exceeds the tolerance
         args = (0.01, 1.0, 0.5)
         block = range(1152, 1152 + _U_BLOCK)
-        (*_, converged), evals = self._rows(*args, block)
-        assert not converged.any()
-        monkeypatch.setattr(quadrature, "_FLOOR_ULPS", 0.0)   # no floor stop
+        (_, _, rel, converged), evals = self._rows(*args, block)
+        assert converged.all()
+        assert rel.max() <= 1.1e-11
+        monkeypatch.setattr(quadrature, "_FLOOR_ULPS", 0.0)   # no floor
         (*_, converged_full), evals_full = self._rows(*args, block)
         assert not converged_full.any()
         assert 1.5 * evals < evals_full
 
     def test_spares_a_row_still_converging(self, monkeypatch):
         # level differences 1.7e-1, 6.4e-7, 2.0e-6, 2.8e-14 at n = 16: the
-        # third does not fall 4x, but it is far above the row's rounding
+        # third does not fall, but it is far above the row's rounding
         args = (92.67044675006838, 2707.9234317226887, 6.0, range(_U_BLOCK))
         rows, evals = self._rows(*args)
         monkeypatch.setattr(quadrature, "_FLOOR_ULPS", 0.0)
@@ -278,6 +290,21 @@ class TestNested:
             nv = nested_at_zero(a, b, m, d, cache=cache)
             comp = nested_by_composition(a, b, m, d)
             assert nv.value == pytest.approx(comp.value, rel=1e-7)
+
+    @pytest.mark.parametrize("series_tol", [1e-13, 1e-16])
+    def test_composition_estimate_covers_its_error(self, series_tol):
+        """At m = 2 with inner >> outer, the rounding of the two log S
+        factors, about eps alpha r^m each, dominates the composition's
+        error; its estimate counts it, whatever the series tolerance."""
+        for alpha, beta, delta in ((1e3, 1.0, 1.0), (100.0, 1.0, 1.0)):
+            res = nested_by_composition(alpha, beta, 2.0, delta,
+                                        series_tol=series_tol)
+            with mpmath.workdps(40):
+                a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+                want = a * b / (a * b + a * delta + b * delta)
+                err = float(abs(res.value - want))
+            assert res.converged
+            assert err <= res.abs_error_estimate, (alpha, beta)
 
     def test_growing_terms_never_stop(self):
         """Terms that grow again far below the first one do not end the
@@ -367,7 +394,7 @@ class TestResultTypes:
                 float, float, int, bool]
         with pytest.raises(NonConvergenceError) as ei:
             u_function(1.075990301847395, 0.020672902749768567, 4.0, 2240,
-                       cache=cache)
+                       cache=UCache(quad_max_levels=7))
         assert type(ei.value.partial) is float
         assert type(ei.value.error_bound) is float
 

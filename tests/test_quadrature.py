@@ -35,10 +35,9 @@ class TestClosedForms:
                     assert abs(res.value - want) <= 3.0 * res.abs_error_estimate
 
     def test_converged_implies_tolerance(self):
-        res = integrate_radial(unit_symbol(), 2.0, 3.0, 2.0,
-                               tol_rel=1e-12, tol_abs=1e-300)
+        res = integrate_radial(unit_symbol(), 2.0, 3.0, 2.0, tol_rel=1e-12)
         assert res.converged
-        assert res.abs_error_estimate <= max(1e-300, 1e-12 * abs(res.value))
+        assert res.abs_error_estimate <= 1e-12 * abs(res.value)
 
     def test_fractional_power_endpoint(self):
         # integrable singularity u^(q-1) with q < 1 after substitution
@@ -116,6 +115,32 @@ class TestDecayingSymbol:
     def test_decay_must_be_finite_and_nonnegative(self, decay):
         with pytest.raises(ValueError):
             integrate_radial(self._symbol(decay=decay), 1.0, 2.0, 1.0)
+
+
+class TestUnitInvariance:
+    """A row's verdict does not depend on the size of its integral: the same
+    row, with log g shifted down by K so that the integral falls from far
+    above 1e-300 to far below it, converges or fails alike."""
+
+    @pytest.mark.parametrize("alpha,beta,m,n", [
+        (100.0, 1.0, 2.0, 1270),
+        (1.075990301847395, 0.020672902749768567, 4.0, 2240)])
+    def test_shifted_log_symbol(self, alpha, beta, m, n):
+        g = UCache().inv_kernel_symbol(alpha, m)
+        power = 2.0 * n + 1.0
+        log_val, _, rel, _, converged = integrate_radial_log(g, beta, m, power)
+        shift = log_val + 800.0   # e^(log_val - shift) = e^-800 < 1e-300
+        assert log_val > 0.0
+        # eval_array gives zeros, so every node takes the log form
+        low = RadialSymbol(lambda r: 0.0, 1.0, eval_array=np.zeros_like,
+                           decay=g.decay,
+                           eval_log=lambda r: g.eval_log(r) - shift)
+        log_low, _, rel_low, _, converged_low = integrate_radial_log(
+            low, beta, m, power)
+        assert converged and converged_low
+        # the rounding model counts the shift itself: one ulp of K per node
+        assert abs(rel_low - rel) <= _EPS * shift
+        assert abs(log_val - shift - log_low) <= rel + rel_low
 
 
 class TestPowerLadder:
