@@ -5,10 +5,10 @@ Two independent routes are provided:
 * a fast series route for radial symbols (berezin_exp_radial), exact for
   the exponential test family f_delta(z) = exp(-delta |z|^m);
 * a 2-D polar quadrature route for arbitrary bounded symbols
-  (berezin_general), radial exp-sinh times angular trapezoid.  The kernel
-  factor |S|^2 is evaluated at every angular node: on each circle the
-  nodes form one DFT of the folded series, summed by one FFT
-  (special.CircleSeries).
+  (berezin_general), radial exp-sinh times angular trapezoid, doubled on
+  each circle until its own rule holds.  The kernel factor |S|^2 is
+  evaluated at every angular node: on each circle the nodes form one DFT
+  of the folded series, summed by one FFT (special.CircleSeries).
 
 berezin_at_zero sends radial symbols straight to the radial quadrature and
 planar symbols through the 2-D polar route at z = 0, where the kernel
@@ -173,10 +173,17 @@ class _KernelWeightedAverage:
     trapezoid node doubling; every batch of f values is bound-checked.
 
     Each log_values call builds the scaled series terms of all its circles
-    once (CircleSeries); every doubling level then evaluates |S|^2 at each
-    of its nodes by one FFT per circle.  A radius whose angular rule is
-    still unmet at _NMAX nodes sets capped, which berezin_general reports
-    as converged=False.
+    once (CircleSeries); every doubling level then evaluates f and |S|^2,
+    by one FFT per circle, on the circles still refining, as _DESum does
+    with its rows.  A circle stops at the first level where its own
+    doubling difference meets its rule, max(tol_rel/4 |mean|, 8 eps
+    mean|f K|), and keeps that level's mean and difference, so its value
+    does not depend on its batch mates.  The trapezoid rule converges
+    geometrically on the periodic integrand (Trefethen & Weideman, SIAM
+    Rev. 56, 2014), so the difference of the last doubling is the error
+    estimate of the finer mean it keeps; max_rel_err is the largest of
+    these over |mean|.  A circle whose rule is still unmet at _NMAX nodes
+    sets capped, which berezin_general reports as converged=False.
 
     Values are returned in sign/log form, rescaled per radius by the largest
     |S|^2 on the circle, so magnitudes far outside double range stay exact.
@@ -205,10 +212,13 @@ class _KernelWeightedAverage:
         if self.abs_z != 0.0:
             circles = CircleSeries(self.params, self.abs_z * rho,
                                    tol=self.series_tol, max_terms=self.max_terms)
+        # each radius's mean, scale and diff at the level where it stopped
+        out = np.empty((3, rho.size))
+        live = np.arange(rho.size)   # the radii still refining
         n = self._N0
         mean, scale_log, amean = self._mean(rho, circles, n, offset=False)
-        while True:
-            mean_off, scale_off, amean_off = self._mean(rho, circles, n,
+        while live.size:
+            mean_off, scale_off, amean_off = self._mean(rho[live], circles, n,
                                                         offset=True)
             # the two half-meshes carry their own rescale; merge on the larger
             both = np.maximum(scale_log, scale_off)
@@ -220,13 +230,20 @@ class _KernelWeightedAverage:
             scale_log = both
             mean = mean_new
             n *= 2
-            ok = diff <= np.maximum(0.25 * self.tol_rel * np.abs(mean),
-                                    8.0 * _EPS * np.maximum(amean, 1e-300))
-            if bool(np.all(ok)):
-                break
-            if n >= self._NMAX:
+            done = diff <= np.maximum(0.25 * self.tol_rel * np.abs(mean),
+                                      8.0 * _EPS * np.maximum(amean, 1e-300))
+            if n >= self._NMAX and not bool(np.all(done)):
                 self.capped = True
-                break
+                done[:] = True
+            if bool(np.any(done)):
+                out[:, live[done]] = mean[done], scale_log[done], diff[done]
+                keep = ~done
+                live = live[keep]
+                if circles is not None:
+                    circles = circles.select(keep)
+                mean, scale_log = mean[keep], scale_log[keep]
+                amean = amean[keep]
+        mean, scale_log, diff = out
         denom = np.maximum(np.abs(mean), 1e-300)
         self.max_rel_err = max(self.max_rel_err, float(np.max(diff / denom)))
         sign = np.sign(mean)
@@ -268,10 +285,11 @@ def berezin_general(params: WeightParams, f, z: complex, *,
 
     Independent of the radial series route: the kernel factor is evaluated
     numerically on every angular node, by one FFT of the folded series per
-    circle, and integrated by trapezoid doubling, then radially by the
-    exp-sinh rule.  converged is False when either rule is unmet, the
-    angular one at 8192 nodes.  Raises ValueError when f returns NaN or
-    exceeds its sup_bound.
+    circle, and integrated by trapezoid doubling, each circle to its own
+    rule, then radially by the exp-sinh rule.  converged is False when
+    either rule is unmet, the angular one at 8192 nodes.  evaluations
+    counts the angular nodes evaluated.  Raises ValueError when f returns
+    NaN or exceeds its sup_bound.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

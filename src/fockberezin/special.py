@@ -30,6 +30,7 @@ a bound; kernel_series and the complex grids always sum the series.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import threading
 from collections import OrderedDict
@@ -576,6 +577,28 @@ def _peak_log_estimate(params: WeightParams, t):
     return np.where(big, np.inf, est)
 
 
+def _shortcircuit(params: WeightParams, abs_z, tol):
+    """The entries |zeta| = abs_z that skip summation because their peak
+    estimate passes _SHORTCIRCUIT_LOG, as a mask, and their estimates.
+    The estimate is at most log S(|zeta|); S grows with |zeta|, and from
+    _ml_switch on log S is _ml_log to within tol e^-_STOP_MARGIN.  So the
+    estimate can pass the cut-off only where _ml_log at max(x, _ml_switch)
+    does, x = alpha |zeta|^(m/2), less a margin of 1 for rounding, and it
+    is computed only there."""
+    with np.errstate(over="ignore"):
+        x = params.alpha * np.power(abs_z, params.m / 2.0)
+    switch = _ml_switch(params.m, tol)
+    near = np.flatnonzero(_ml_log(params.m, np.maximum(x, switch))
+                          > _SHORTCIRCUIT_LOG - 1.0)
+    skip = np.zeros(abs_z.shape, dtype=bool)
+    if not near.size:
+        return skip, np.empty(0)
+    est = _peak_log_estimate(params, abs_z[near])
+    fire = est > _SHORTCIRCUIT_LOG
+    skip[near[fire]] = True
+    return skip, est[fire]
+
+
 def log_series_grid(params: WeightParams, t, *, tol=DEFAULT_SERIES_TOL,
                     max_terms=DEFAULT_MAX_TERMS):
     """log S(t) for an array of t >= 0 (see _grid_log_abs): by the
@@ -606,15 +629,14 @@ def _grid_log_abs(params, z, dtype, tol, max_terms):
     _ml_switch(m, tol) gets the log of the Mittag-Leffler leading term
     (_ml_log), within tol * e^-_STOP_MARGIN relative of S by a proven
     bound; a complex entry whose peak estimate passes _SHORTCIRCUIT_LOG
-    gets that estimate, a lower bound, since its reciprocal underflows.
-    Every other entry is summed in index order (a cumsum along its row of
-    the chunk's terms) up to its own stop under _tail_small, rescaled by its
-    own peak term.  The rows of a chunk come from the stop of its largest
-    entry, so the summed entries are sorted by |z| and cut into chunks of
-    at most _GRID_CHUNK entries whose x share one octave,
-    floor(log2(x + 8)); each entry then gets about the rows it needs.  An
-    entry's row depends only on the entry, so each value is independent of
-    the batch.
+    gets that estimate, a lower bound, since its reciprocal underflows
+    (_shortcircuit).  Every other entry is summed in index order (a cumsum
+    along its row of the chunk's terms) up to its own stop under
+    _tail_small, rescaled by its own peak term.  The rows of a chunk come
+    from the stop of its largest entry, so the summed entries are sorted by
+    |z| and cut into chunks of at most _GRID_CHUNK entries, so that entries
+    of about the same size share a chunk's rows.  An entry's row depends
+    only on the entry, so each value is independent of the batch.
     """
     z = np.asarray(z, dtype=dtype)
     if not np.all(np.isfinite(z)) or (dtype is float and np.any(z < 0.0)):
@@ -625,27 +647,22 @@ def _grid_log_abs(params, z, dtype, tol, max_terms):
     out = np.empty(abs_z.shape)
 
     table = moment_table(params)
-    with np.errstate(over="ignore"):
-        x = params.alpha * np.power(abs_z, params.m / 2.0)
     if dtype is float:
+        with np.errstate(over="ignore"):
+            x = params.alpha * np.power(abs_z, params.m / 2.0)
         closed = x >= _ml_switch(params.m, tol)
         out[closed] = _ml_log(params.m, x[closed])
     else:
-        peak_est = _peak_log_estimate(params, abs_z)
-        closed = peak_est > _SHORTCIRCUIT_LOG
-        out[closed] = peak_est[closed]
+        closed, est = _shortcircuit(params, abs_z, tol)
+        out[closed] = est
     zero = abs_z == 0.0
     out[zero] = -table.log_moment(0)
 
     todo = np.flatnonzero(~(closed | zero))
     todo = todo[np.argsort(abs_z[todo], kind="stable")]
-    # octave of the continuous peak index, every index below 8 in one band
-    octave = np.floor(np.log2(x[todo] + 8.0))
-    bands = np.split(todo, np.flatnonzero(np.diff(octave)) + 1)
-    chunks = [band[start: start + _GRID_CHUNK] for band in bands
-              for start in range(0, band.size, _GRID_CHUNK)]
     ln_tol = math.log(tol)
-    for idx in chunks:
+    for start in range(0, todo.size, _GRID_CHUNK):
+        idx = todo[start: start + _GRID_CHUNK]
         n, e, peak_log, stop = _chunk_terms(table, np.log(abs_z[idx]), ln_tol,
                                             max_terms)
         stop = (np.arange(idx.size), stop)
@@ -712,10 +729,12 @@ class CircleSeries:
     of the grid engine (_chunk_terms) once, in chunks of _GRID_CHUNK radii
     and in its (radii, rows) layout, and every call of log_abs2 reuses
     them.  Rows past a radius's own stop are zeroed, so each circle's
-    values do not depend on its batch mates.
-    Radii whose peak estimate passes _SHORTCIRCUIT_LOG, and s = 0, get the
-    constant log|S| of the dense grid, and every |S|^2 is floored at
-    _ABS2_FLOOR times the squared peak term, as on the dense grid.
+    values do not depend on its batch mates; select keeps a subset of the
+    circles, and log_abs2 twists, folds and transforms only theirs.
+    Radii whose peak estimate passes _SHORTCIRCUIT_LOG (_shortcircuit),
+    and s = 0, get the constant log|S| of the dense grid, and every |S|^2
+    is floored at _ABS2_FLOOR times the squared peak term, as on the dense
+    grid.
     """
 
     def __init__(self, params: WeightParams, s, *, tol=DEFAULT_SERIES_TOL,
@@ -724,13 +743,13 @@ class CircleSeries:
         if s.ndim != 1 or not np.all(np.isfinite(s)) or np.any(s < 0.0):
             raise ValueError("circle radii must be a 1-D array, finite and >= 0")
         table = moment_table(params)
-        peak_est = _peak_log_estimate(params, s)
-        skip = peak_est > _SHORTCIRCUIT_LOG
+        skip, est = _shortcircuit(params, s, tol)
         zero = s == 0.0
+        const_log = np.full(s.size, -table.log_moment(0))
+        const_log[skip] = est
         self.size = s.size
         self.const = np.flatnonzero(skip | zero)
-        self.const_log_abs2 = 2.0 * np.where(skip, peak_est,
-                                             -table.log_moment(0))[self.const]
+        self.const_log_abs2 = 2.0 * const_log[self.const]
         todo = np.flatnonzero(~(skip | zero))
         ln_tol = math.log(tol)
         self.chunks = []   # (radius indices, terms (radii, rows), 2 peak_log)
@@ -741,6 +760,23 @@ class CircleSeries:
             terms = np.exp(e)
             terms[n > stop[:, None]] = 0.0
             self.chunks.append((idx, terms, 2.0 * peak_log))
+
+    def select(self, keep):
+        """The circles where the boolean mask keep is True, in their order."""
+        new = copy.copy(self)
+        at = np.cumsum(keep) - 1   # each kept circle's index in new
+        const = keep[self.const]
+        new.size = int(np.count_nonzero(keep))
+        new.const = at[self.const[const]]
+        new.const_log_abs2 = self.const_log_abs2[const]
+        new.chunks = []
+        for idx, terms, peak_log2 in self.chunks:
+            k = keep[idx]
+            if k.all():
+                new.chunks.append((at[idx], terms, peak_log2))
+            elif k.any():
+                new.chunks.append((at[idx[k]], terms[k], peak_log2[k]))
+        return new
 
     def log_abs2(self, phase, n_nodes):
         """log|S(s e^(i (phase - 2 pi k / n_nodes)))|^2, shape (radii, n_nodes)."""

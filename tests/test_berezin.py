@@ -10,7 +10,9 @@ from fockberezin import (ExpSymbol, PlanarSymbol, RadialSymbol, WeightParams,
                          berezin_at_zero, berezin_exp_radial,
                          berezin_exp_radial_grid, berezin_general)
 from fockberezin._reference import BEREZIN_EXP_M4_A1_D1_R1
+from fockberezin.berezin import _KernelWeightedAverage
 from fockberezin.commutativity import _make_inv_kernel_symbol
+from fockberezin.quadrature import unit_symbol
 from fockberezin.special import DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL
 
 
@@ -206,3 +208,51 @@ class TestGeneral:
             berezin_general(WeightParams(1.0, 2.0), "not a symbol", 0j)
         with pytest.raises(TypeError):
             berezin_at_zero(WeightParams(1.0, 2.0), 42)
+
+
+class TestAngularLoop:
+    """Each circle leaves the angular doubling at its own level."""
+
+    @staticmethod
+    def _average(p, z, f):
+        return _KernelWeightedAverage(p, z, f, series_tol=DEFAULT_SERIES_TOL,
+                                      tol_rel=1e-10,
+                                      max_terms=DEFAULT_MAX_TERMS)
+
+    def test_circle_independent_of_batch(self):
+        """A circle's mean has the same bits alone as beside a harder
+        circle, for a radial and a planar symbol (refined as long as the
+        hard circle, the easy one would move in the last bit); the pair
+        costs the nodes of the two circles alone, and its error is the
+        larger of theirs."""
+        p, z = WeightParams(1.3, 3.0), complex(1.1, 0.4)
+        for f in (unit_symbol(), ExpSymbol(1.0).as_planar(3.0)):
+            pair = self._average(p, z, f)
+            sign, log_abs = pair.log_values(np.array([0.3, 2.5]))
+            alone = [self._average(p, z, f) for _ in range(2)]
+            for i, (avg, rho) in enumerate(zip(alone, (0.3, 2.5))):
+                s_i, l_i = avg.log_values(np.array([rho]))
+                assert s_i[0] == sign[i] and l_i[0] == log_abs[i], (f, rho)
+            assert pair.point_evals == sum(a.point_evals for a in alone)
+            assert alone[0].point_evals < alone[1].point_evals
+            assert pair.max_rel_err == max(a.max_rel_err for a in alone)
+
+    @pytest.mark.parametrize("m, alpha, delta, z, planar, evals", [
+        (1.0, 1.109375, 1.734375,
+         complex(0.37785666452109884, 0.22052344790744988), True, 4352),
+        (2.0, 1.359375, 1.515625,
+         complex(0.6252841639137965, -0.6985169749967601), False, 11776),
+        (4.0, 1.734375, 0.609375,
+         complex(1.3091006773166005, -0.0944016241873946), True, 23808),
+    ])
+    def test_evaluation_counts(self, m, alpha, delta, z, planar, evals):
+        """The angular nodes of three fixed points of the crossval
+        benchmark, a machine-independent work counter: a circle costs the
+        nodes of the levels it refines, not those of its hardest batch
+        mate."""
+        f = ExpSymbol(delta).as_planar(m) if planar else ExpSymbol(delta)
+        res = berezin_general(WeightParams(alpha, m), f, z, tol_rel=1e-10)
+        assert res.converged
+        assert res.evaluations == evals
+        ref = berezin_exp_radial(WeightParams(alpha, m), delta, abs(z))
+        assert res.value == pytest.approx(ref.value, rel=1e-8)

@@ -341,10 +341,10 @@ class TestGridEvaluators:
                 assert np.array_equal(whole, single), (m, grid.__name__)
 
     def test_banding_maps_entries_back(self):
-        """The summed entries are sorted by |z| and chunked by the octave of
-        their peak index; every value must land on its own entry.  On a
-        grid spanning 7 decades, a random permutation of it, un-permuted,
-        gives the same bits, and so does each entry alone."""
+        """The summed entries are sorted by |z| and cut into chunks of at
+        most _GRID_CHUNK entries; every value must land on its own entry.
+        On a grid spanning 7 decades, a random permutation of it,
+        un-permuted, gives the same bits, and so does each entry alone."""
         rng = np.random.default_rng(11)
         for m in (0.5, 2.0, 10.0):
             p = WeightParams(1.7, m)
@@ -359,6 +359,26 @@ class TestGridEvaluators:
                 assert np.array_equal(whole, back), (m, grid.__name__)
                 for i in perm[:40]:
                     assert grid(p, xs[i:i + 1])[0] == whole[i], (m, i)
+
+    def test_shortcircuit_filter_misses_no_radius(self):
+        """The peak estimate is computed only where the Mittag-Leffler log
+        at max(x, _ml_switch) passes _SHORTCIRCUIT_LOG - 1.  It must stay
+        at least that margin below there on x in [1, 2000], so the filter
+        keeps every radius whose estimate passes the cut-off."""
+        tol = special.DEFAULT_SERIES_TOL
+        for m in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0):
+            for alpha in (1e-3, 1.0, 1e3, 1e6):
+                p = WeightParams(alpha, m)
+                t = (np.geomspace(1.0, 2000.0, 4001) / alpha) ** (2.0 / m)
+                x = alpha * np.power(t, m / 2.0)
+                est = special._peak_log_estimate(p, t)
+                switch = special._ml_switch(m, tol)
+                top = special._ml_log(m, np.maximum(x, switch))
+                assert np.all(est <= top - 1.0), (m, alpha)
+                skip, fired = special._shortcircuit(p, t, tol)
+                assert np.array_equal(skip, est > special._SHORTCIRCUIT_LOG)
+                assert skip.any() and not skip.all()
+                assert np.array_equal(fired, est[skip])
 
     def test_rows_cover_every_entry(self):
         """The rows of a chunk come from its largest entry; every entry must
@@ -379,7 +399,8 @@ class TestGridEvaluators:
     def test_chunk_stops_match_scalar_path(self):
         """_chunk_terms tests the stop rule only from the chunk's smallest
         peak on; every entry must still stop where kernel_series stops.
-        Chunks of one octave of peak index over 7 decades, plus entries
+        Chunks of one octave of peak index over 7 decades, and the chunks
+        that _grid_log_abs cuts from the whole sorted grid, plus entries
         whose series stops at its peak term 0 and runs of entries a few
         ulps apart."""
         rng = np.random.default_rng(29)
@@ -392,14 +413,17 @@ class TestGridEvaluators:
             ulps = _EPS * np.arange(-3.0, 4.0)
             ts = np.concatenate([ts, [1e-40, 3e-35], ts[0] * (1.0 + ulps),
                                  ts[1] * (1.0 + ulps)])
+            ts = np.sort(ts)
             octave = np.floor(np.log2(p.alpha * ts ** (m / 2.0) + 8.0))
-            for band in np.unique(octave):
-                t = np.sort(ts[octave == band])
+            chunks = [ts[octave == band] for band in np.unique(octave)]
+            chunks += [ts[i: i + special._GRID_CHUNK]
+                       for i in range(0, ts.size, special._GRID_CHUNK)]
+            want = {x: kernel_series(p, x).truncation_terms - 1
+                    for x in ts.tolist()}
+            for t in chunks:
                 stop = special._chunk_terms(table, np.log(t), ln_tol,
                                             special.DEFAULT_MAX_TERMS)[3]
-                want = [kernel_series(p, float(x)).truncation_terms - 1
-                        for x in t]
-                assert stop.tolist() == want, (m, band)
+                assert stop.tolist() == [want[x] for x in t.tolist()], m
             assert kernel_series(p, 1e-40).truncation_terms == 1
 
     def test_abs2_grid_against_scalar(self):
@@ -529,12 +553,14 @@ class TestCircleSeries:
     def test_batch_independence(self):
         """Each circle's values must not depend on its batch mates: whole,
         split and single-radius batches agree bit for bit on both
-        half-meshes.  The radii are s = 0, 257 summed ones (one alone in
-        the last chunk of the whole batch) and two past the summation
-        cut-off of the peak estimate.  The circles are summed on both sides
-        of the switch of the real grid's Mittag-Leffler branch, seven of
-        them within three ulps of it."""
+        half-meshes, and so do the live subsets that select keeps.  The
+        radii are s = 0, 257 summed ones (one alone in the last chunk of
+        the whole batch) and two past the summation cut-off of the peak
+        estimate.  The circles are summed on both sides of the switch of
+        the real grid's Mittag-Leffler branch, seven of them within three
+        ulps of it."""
         alpha = 1.7
+        rng = np.random.default_rng(5)
         for m in (0.5, 1.0, 4.0, 10.0):
             p = WeightParams(alpha, m)
             s = np.concatenate([
@@ -547,6 +573,8 @@ class TestCircleSeries:
                           for x in (s[:7], s[7:100], s[100:])],
                 "single": [special.CircleSeries(p, s[i:i + 1])
                            for i in range(s.size)]}
+            live = [rng.uniform(size=s.size) < 0.3, s > s[200], s == s[-1],
+                    np.zeros(s.size, dtype=bool)]
             for off in (0.0, 0.5):
                 for n_nodes in (16, 64):
                     got = {name: np.concatenate([
@@ -556,6 +584,19 @@ class TestCircleSeries:
                     assert np.all(np.isfinite(whole))
                     assert np.array_equal(whole, got["split"]), (m, off, n_nodes)
                     assert np.array_equal(whole, got["single"]), (m, off, n_nodes)
+                    # live subsets, picked from the whole batch and, in two
+                    # steps, from a split one, as the angular loop drops
+                    # the circles that have converged
+                    for keep in live:
+                        sub = self._nodes(batches["whole"][0].select(keep),
+                                          0.4, off, n_nodes)
+                        assert np.array_equal(sub, whole[keep]), (m, n_nodes)
+                        first = s[100:] > 0.1
+                        part = batches["split"][2].select(first)
+                        sub = self._nodes(part.select(keep[100:][first]),
+                                          0.4, off, n_nodes)
+                        assert np.array_equal(
+                            sub, whole[100:][keep[100:] & first]), (m, n_nodes)
             # s = 0 and the radii past the cut-off take the dense grid's
             # constant value on every node
             const = np.r_[0, s.size - 2, s.size - 1]
