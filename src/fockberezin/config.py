@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .commutativity import DEFAULT_KAPPA
+from .quadrature import DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_REL
+from .special import DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL
+
 
 class ConfigError(ValueError):
     pass
@@ -11,12 +15,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    tol_series: float = 1e-13
-    tol_quad_rel: float = 1e-12
-    series_max_terms: int = 20000
-    quad_max_levels: int = 12
+    tol_series: float = DEFAULT_SERIES_TOL
+    tol_quad_rel: float = DEFAULT_QUAD_TOL_REL
+    series_max_terms: int = DEFAULT_MAX_TERMS
+    quad_max_levels: int = DEFAULT_MAX_LEVELS
     fd_step_rel: float = 1e-4
-    defect_kappa: float = 10.0
+    defect_kappa: float = DEFAULT_KAPPA
 
     def validate(self):
         for name in ("tol_series", "tol_quad_rel", "fd_step_rel",

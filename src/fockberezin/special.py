@@ -16,15 +16,18 @@ size ~1e5 would lose the low bits that the scaled sum actually needs).
 Every summation, scalar or grid, follows one stop rule: it ends at the first
 n past the peak term where the geometric tail bound |a_n| rho_n / (1 - rho_n),
 with rho_n = |a_{n+1} / a_n|, is at most tol * e^-8 relative to the peak term.
-The grids sum chunks of entries laid out (entries, rows), and test the rule
-only on the rows from the chunk's smallest peak on.
+One walk (_walk) finds the peak and that stop for every summation.  The
+grids sum chunks of entries laid out (entries, rows), with the rows of the
+chunk's largest entry, and test the rule only on the rows from the chunk's
+smallest peak on.
 
 On the positive axis S is the Mittag-Leffler function E_{2/m,2/m}, whose
 leading asymptotic term is exact up to terms exponentially small in the
 continuous peak index x = alpha t^(m/2).  The real grid takes log S from
 that term wherever a proven remainder bound meets the stop rule's own
 threshold (_ml_switch), so every real grid value is a value of log S, not
-a bound; kernel_series and the complex grids always sum the series.
+a bound.  kernel_series and the complex grids always sum the series, or
+raise NonConvergenceError where it needs more than max_terms terms.
 """
 
 from __future__ import annotations
@@ -246,44 +249,6 @@ class SeriesValue:
         return self.phase_or_sign * mag
 
 
-def _peak_index(log_abs_z, log_s, table, max_terms):
-    """Smallest n with term ratio <= 1, found by exponential search + bisection.
-
-    The ratio |a_{n+1}/a_n| in log form is log|z| - (log_s[n+1] - log_s[n]),
-    strictly decreasing in n because log Gamma is convex.
-    """
-    ls = log_s
-
-    def need(k):
-        nonlocal ls
-        if k + 2 > len(ls):
-            ls = table.log_moments(min(max(2 * (k + 2), 66), max_terms + 2))
-
-    def dlog(n):
-        return log_abs_z - (ls[n + 1] - ls[n])
-
-    need(0)
-    if dlog(0) <= 0.0:
-        return 0, ls
-    lo, hi = 0, 64
-    while True:
-        hi = min(hi, max_terms)
-        need(hi)
-        if dlog(hi) <= 0.0:
-            break
-        if hi >= max_terms:
-            raise NonConvergenceError(
-                f"kernel series: term magnitudes still growing after {max_terms} terms")
-        lo, hi = hi, hi * 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if dlog(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, ls
-
-
 # The stop rule of every summation here.  The dropped tail is at most
 # tol * e^-8 of the peak term, 3.4e-17 at the default tol, under a third of
 # the unit roundoff, so it seldom moves the rounded sum.  A looser margin
@@ -303,39 +268,49 @@ def _tail_small(e, d, ln_tol):
         return e - np.log(np.expm1(-d)) <= ln_tol - _STOP_MARGIN
 
 
-def _stop_index(log_abs_z, log_s, peak, ln_tol, table, max_terms):
-    """First n >= peak that meets the stop rule, or max_terms if none before
-    it does.  The exponents are cumulated from the peak as in
-    _scaled_exponents, and the moment table grows only as far as the walk
-    looks: first as far as it already reaches, at most to 2 peak + 64, then
-    doubling."""
+def _walk(log_abs_z, table, ln_tol, max_terms):
+    """The peak, the stop and the moment-log differences of the series with
+    log|zeta| = log_abs_z: returns (peak, stop, dlog_s) with dlog_s[n] =
+    log s_(n+1) - log s_n for n = 0 .. at least stop.
+
+    The term ratio |a_(n+1) / a_n| is log_abs_z - dlog_s[n] in log form,
+    falling in n because log Gamma is convex; the peak is the first n where
+    it is <= 0, and the stop the first n from the peak on that meets
+    _tail_small (max_terms if none before it does).  The window of rows
+    doubles from 64 until it holds the peak, asking the moment table for
+    twice the window when it outgrows its view; then the stop is sought in
+    a window that reaches first to 2 peak + 64, at most as far as the
+    table already holds, and then doubles.  max_terms caps every window,
+    and a peak past it raises NonConvergenceError."""
+    log_s = table.log_moments(66)
+    end = 64
+    while True:
+        end = min(end, max_terms)
+        if end + 2 > len(log_s):
+            log_s = table.log_moments(min(2 * (end + 2), max_terms + 2))
+        past = np.diff(log_s[: end + 2]) >= log_abs_z
+        peak = int(np.argmax(past))
+        if past[peak]:
+            break
+        if end >= max_terms:
+            raise NonConvergenceError(
+                f"kernel series: term magnitudes still growing after {max_terms} terms")
+        end *= 2
     end = min(2 * peak + 64, len(table) - 2)
     while True:
         end = min(end, max_terms)
         if end + 2 > len(log_s):
             log_s = table.log_moments(end + 2)
-        d = log_abs_z - np.diff(log_s[peak: end + 2])  # n = peak .. end
+        dlog_s = np.diff(log_s[: end + 2])
+        d = log_abs_z - dlog_s[peak:]  # n = peak .. end
         e = np.concatenate(([0.0], np.cumsum(d[:-1])))
         ok = _tail_small(e, d, ln_tol)
         i = int(np.argmax(ok))
         if ok[i]:
-            return peak + i, log_s
+            return peak, peak + i, dlog_s
         if end >= max_terms:
-            return max_terms, log_s
+            return peak, max_terms, dlog_s
         end *= 2
-
-
-def _scaled_exponents(log_abs_z, log_s, peak, n_stop):
-    """Exponents log|a_n| - log|a_peak| for n = 0..n_stop, built by cumulating
-    the per-step log ratios away from the peak (keeps everything O(700) even
-    when the absolute exponents are astronomically large)."""
-    dl = log_abs_z - np.diff(log_s[: n_stop + 2])
-    e = np.zeros(n_stop + 1)
-    if peak < n_stop:
-        e[peak + 1:] = np.cumsum(dl[peak:n_stop])
-    if peak > 0:
-        e[peak - 1:: -1] = -np.cumsum(dl[peak - 1:: -1])
-    return e
 
 
 def _scaled_sum_error(params, log_abs_z, theta, log_s, peak, exps, scaled):
@@ -408,12 +383,14 @@ def kernel_series(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
         return SeriesValue(-ls0, 1.0, 1, 4.0 * _EPS)
 
     log_abs_z = math.log(abs_z)
-    log_s = table.log_moments(66)
-    peak, log_s = _peak_index(log_abs_z, log_s, table, max_terms)
-    n_stop, log_s = _stop_index(log_abs_z, log_s, peak, math.log(tol), table,
-                                max_terms)
+    peak, n_stop, dlog_s = _walk(log_abs_z, table, math.log(tol), max_terms)
+    log_s = table.log_moments(n_stop + 1)
 
-    exps = _scaled_exponents(log_abs_z, log_s, peak, n_stop)
+    # exponents log|a_n / a_peak|, cumulated outward from the peak
+    dl = log_abs_z - dlog_s[:n_stop]
+    exps = np.zeros(n_stop + 1)
+    exps[peak + 1:] = np.cumsum(dl[peak:])
+    exps[:peak][::-1] = -np.cumsum(dl[:peak][::-1])
     scaled = np.exp(exps)
     real_input = theta == 0.0 or theta == math.pi
 
@@ -432,7 +409,7 @@ def kernel_series(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
         total = complex(math.fsum(terms.real), math.fsum(terms.imag))
         abs_total = abs(total)
 
-    ratio = math.exp(log_abs_z - (log_s[n_stop + 1] - log_s[n_stop]))
+    ratio = math.exp(log_abs_z - dlog_s[n_stop])
     if abs_total == 0.0:
         # fully cancelled at working precision
         bound = math.inf
@@ -555,49 +532,9 @@ def _ml_log(m, x):
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation on real nonnegative grids (the quadrature fast path).
+# Batched evaluation on grids: t >= 0 (the quadrature fast path) and
+# complex zeta (the 2-D Berezin path).
 # ---------------------------------------------------------------------------
-
-_SHORTCIRCUIT_LOG = 800.0  # beyond this, |S|^-2 underflows; skip the summation
-
-
-def _peak_log_estimate(params: WeightParams, t):
-    """Stirling estimate of max_n log(t^n / s_n): a cheap lower bound on
-    log|S| at |zeta| = t, used on complex arguments to skip summation where
-    exp(-log|S|) underflows anyway."""
-    m, la = params.m, params.log_alpha
-    with np.errstate(divide="ignore", over="ignore"):
-        log_t = np.log(t)
-        x = params.alpha * np.power(t, m / 2.0)  # continuous peak, Gamma-argument units
-    big = ~np.isfinite(x)  # far beyond any representable reciprocal
-    n_hat = np.maximum(np.floor(m * np.where(big, 1.0, x) / 2.0), 1.0)
-    arg = 2.0 * (n_hat + 1.0) / m
-    log_s_hat = -(2.0 * n_hat / m) * la + _log_gamma_array(arg)
-    est = np.where(t > 0.0, n_hat * log_t - log_s_hat, -log_gamma(2.0 / m))
-    return np.where(big, np.inf, est)
-
-
-def _shortcircuit(params: WeightParams, abs_z, tol):
-    """The entries |zeta| = abs_z that skip summation because their peak
-    estimate passes _SHORTCIRCUIT_LOG, as a mask, and their estimates.
-    The estimate is at most log S(|zeta|); S grows with |zeta|, and from
-    _ml_switch on log S is _ml_log to within tol e^-_STOP_MARGIN.  So the
-    estimate can pass the cut-off only where _ml_log at max(x, _ml_switch)
-    does, x = alpha |zeta|^(m/2), less a margin of 1 for rounding, and it
-    is computed only there."""
-    with np.errstate(over="ignore"):
-        x = params.alpha * np.power(abs_z, params.m / 2.0)
-    switch = _ml_switch(params.m, tol)
-    near = np.flatnonzero(_ml_log(params.m, np.maximum(x, switch))
-                          > _SHORTCIRCUIT_LOG - 1.0)
-    skip = np.zeros(abs_z.shape, dtype=bool)
-    if not near.size:
-        return skip, np.empty(0)
-    est = _peak_log_estimate(params, abs_z[near])
-    fire = est > _SHORTCIRCUIT_LOG
-    skip[near[fire]] = True
-    return skip, est[fire]
-
 
 def log_series_grid(params: WeightParams, t, *, tol=DEFAULT_SERIES_TOL,
                     max_terms=DEFAULT_MAX_TERMS):
@@ -628,15 +565,15 @@ def _grid_log_abs(params, z, dtype, tol, max_terms):
     A real entry whose continuous peak index x = alpha t^(m/2) reaches
     _ml_switch(m, tol) gets the log of the Mittag-Leffler leading term
     (_ml_log), within tol * e^-_STOP_MARGIN relative of S by a proven
-    bound; a complex entry whose peak estimate passes _SHORTCIRCUIT_LOG
-    gets that estimate, a lower bound, since its reciprocal underflows
-    (_shortcircuit).  Every other entry is summed in index order (a cumsum
-    along its row of the chunk's terms) up to its own stop under
-    _tail_small, rescaled by its own peak term.  The rows of a chunk come
-    from the stop of its largest entry, so the summed entries are sorted by
-    |z| and cut into chunks of at most _GRID_CHUNK entries, so that entries
-    of about the same size share a chunk's rows.  An entry's row depends
-    only on the entry, so each value is independent of the batch.
+    bound.  Every other nonzero entry, and every complex one, is summed in
+    index order (a cumsum along its row of the chunk's terms) up to its own
+    stop under _tail_small, rescaled by its own peak term; a chunk whose
+    largest entry does not stop within max_terms raises
+    NonConvergenceError.  The rows of a chunk come from the walk of its
+    largest entry, so the summed entries are sorted by |z| and cut into
+    chunks of at most _GRID_CHUNK entries, so that entries of about the
+    same size share a chunk's rows.  An entry's row depends only on the
+    entry, so each value is independent of the batch.
     """
     z = np.asarray(z, dtype=dtype)
     if not np.all(np.isfinite(z)) or (dtype is float and np.any(z < 0.0)):
@@ -647,18 +584,16 @@ def _grid_log_abs(params, z, dtype, tol, max_terms):
     out = np.empty(abs_z.shape)
 
     table = moment_table(params)
+    summed = abs_z != 0.0
+    out[~summed] = -table.log_moment(0)
     if dtype is float:
         with np.errstate(over="ignore"):
             x = params.alpha * np.power(abs_z, params.m / 2.0)
         closed = x >= _ml_switch(params.m, tol)
         out[closed] = _ml_log(params.m, x[closed])
-    else:
-        closed, est = _shortcircuit(params, abs_z, tol)
-        out[closed] = est
-    zero = abs_z == 0.0
-    out[zero] = -table.log_moment(0)
+        summed &= ~closed
 
-    todo = np.flatnonzero(~(closed | zero))
+    todo = np.flatnonzero(summed)
     todo = todo[np.argsort(abs_z[todo], kind="stable")]
     ln_tol = math.log(tol)
     for start in range(0, todo.size, _GRID_CHUNK):
@@ -686,24 +621,21 @@ def _chunk_terms(table, log_t, ln_tol, max_terms):
     Returns (n, e, peak_log, stop): the rows as floats, shape (rows,);
     e[j, n] = log|a_n| - peak_log[j], shape (entries, rows), with
     peak_log[j] the log of entry j's peak term; and stop[j], the first row
-    where entry j meets _tail_small.  The rule is tested only from the first
-    row n with s_(n+1) / s_n >= min |z| (the comparison of _peak_index) on:
-    earlier rows precede every entry's peak, where the rule is False.
+    where entry j meets _tail_small.  The rule is tested only from the
+    smallest entry's peak on, the first row n with s_(n+1) / s_n >= min |z|
+    (the comparison of _walk): earlier rows precede every entry's peak,
+    where the rule is False.
     """
-    log_t_max = float(log_t.max())
-    peak, log_s = _peak_index(log_t_max, table.log_moments(66), table,
-                              max_terms)
-    n_last, log_s = _stop_index(log_t_max, log_s, peak, ln_tol, table,
-                                max_terms)
+    _, n_last, dlog_s = _walk(float(log_t.max()), table, ln_tol, max_terms)
     if n_last >= max_terms:
         raise NonConvergenceError(
             f"grid series needs more than {max_terms} terms")
     n = np.arange(n_last + 1, dtype=float)
     e = np.multiply.outer(log_t, n)
-    e -= log_s[: n_last + 1]
+    e -= table.log_moments(n_last + 1)
     peak_log = e.max(axis=1)
     e -= peak_log[:, None]
-    dlog_s = np.diff(log_s[: n_last + 2])
+    dlog_s = dlog_s[: n_last + 1]
     first = int(np.argmax(dlog_s >= log_t.min()))
     ok = _tail_small(e[:, first:], np.subtract.outer(log_t, dlog_s[first:]),
                      ln_tol)
@@ -731,10 +663,11 @@ class CircleSeries:
     them.  Rows past a radius's own stop are zeroed, so each circle's
     values do not depend on its batch mates; select keeps a subset of the
     circles, and log_abs2 twists, folds and transforms only theirs.
-    Radii whose peak estimate passes _SHORTCIRCUIT_LOG (_shortcircuit),
-    and s = 0, get the constant log|S| of the dense grid, and every |S|^2
-    is floored at _ABS2_FLOOR times the squared peak term, as on the dense
-    grid.
+    Every radius s > 0 is summed, and a chunk whose largest radius does not
+    stop within max_terms raises NonConvergenceError; s = 0, which occurs
+    where a node radius underflows, gets the constant log|S(0)|^2 of the
+    dense grid.  Every |S|^2 is floored at _ABS2_FLOOR times the squared
+    peak term, as on the dense grid.
     """
 
     def __init__(self, params: WeightParams, s, *, tol=DEFAULT_SERIES_TOL,
@@ -743,14 +676,10 @@ class CircleSeries:
         if s.ndim != 1 or not np.all(np.isfinite(s)) or np.any(s < 0.0):
             raise ValueError("circle radii must be a 1-D array, finite and >= 0")
         table = moment_table(params)
-        skip, est = _shortcircuit(params, s, tol)
-        zero = s == 0.0
-        const_log = np.full(s.size, -table.log_moment(0))
-        const_log[skip] = est
         self.size = s.size
-        self.const = np.flatnonzero(skip | zero)
-        self.const_log_abs2 = 2.0 * const_log[self.const]
-        todo = np.flatnonzero(~(skip | zero))
+        self.zero = np.flatnonzero(s == 0.0)
+        self.zero_log_abs2 = -2.0 * table.log_moment(0)
+        todo = np.flatnonzero(s != 0.0)
         ln_tol = math.log(tol)
         self.chunks = []   # (radius indices, terms (radii, rows), 2 peak_log)
         for start in range(0, todo.size, _GRID_CHUNK):
@@ -765,10 +694,8 @@ class CircleSeries:
         """The circles where the boolean mask keep is True, in their order."""
         new = copy.copy(self)
         at = np.cumsum(keep) - 1   # each kept circle's index in new
-        const = keep[self.const]
         new.size = int(np.count_nonzero(keep))
-        new.const = at[self.const[const]]
-        new.const_log_abs2 = self.const_log_abs2[const]
+        new.zero = at[self.zero[keep[self.zero]]]
         new.chunks = []
         for idx, terms, peak_log2 in self.chunks:
             k = keep[idx]
@@ -781,7 +708,7 @@ class CircleSeries:
     def log_abs2(self, phase, n_nodes):
         """log|S(s e^(i (phase - 2 pi k / n_nodes)))|^2, shape (radii, n_nodes)."""
         out = np.empty((self.size, n_nodes))
-        out[self.const] = self.const_log_abs2[:, None]
+        out[self.zero] = self.zero_log_abs2
         for idx, terms, peak_log2 in self.chunks:
             rows = terms.shape[1]
             twisted = terms * np.exp(1j * (phase * np.arange(rows)))

@@ -258,6 +258,56 @@ class TestKernelSeries:
         with pytest.raises(NonConvergenceError):
             kernel_series(WeightParams(1.0, 2.0), 100.0, max_terms=30)
 
+    def test_walk_matches_full_table(self):
+        """The walk's peak and stop against their definitions on a full
+        moment table: the peak is the first n with log s_(n+1) - log s_n
+        >= log|zeta|, the stop the first n from the peak on whose tail
+        bound meets tol e^-8.  Random (alpha, m, |zeta|) over the box, peak
+        indices up to 4000, tol 1e-13 and 1e-8, walked on a fresh table and
+        on the full one.  With the caps 30 and 110 of the two tests above,
+        kernel_series returns where the stop lies below the cap and raises
+        with the message of the cap it hits otherwise."""
+        rng = np.random.default_rng(43)
+        raised = {"growing": 0, "tol": 0}
+        for _ in range(40):
+            m = float(rng.uniform(0.5, 10.0))
+            p = WeightParams(float(10.0 ** rng.uniform(-3.0, 6.0)), m)
+            n_hat = 10.0 ** rng.uniform(-2.0, math.log10(4000.0))
+            abs_z = (2.0 * n_hat / (m * p.alpha)) ** (2.0 / m)
+            zeta = abs_z * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            full = MomentTable(p)
+            dlog = np.diff(full.log_moments(special.DEFAULT_MAX_TERMS + 2))
+            log_z = math.log(abs_z)
+            peak = int(np.flatnonzero(dlog >= log_z)[0])
+            d = log_z - dlog[peak:]
+            e = np.concatenate(([0.0], np.cumsum(d[:-1])))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tail = e - np.log(np.expm1(-d))
+            for tol in (1e-13, 1e-8):
+                ln_tol = math.log(tol)
+                stop = peak + int(np.flatnonzero(
+                    tail <= ln_tol - special._STOP_MARGIN)[0])
+                for table in (MomentTable(p), full):
+                    got = special._walk(log_z, table, ln_tol,
+                                        special.DEFAULT_MAX_TERMS)
+                    assert got[:2] == (peak, stop), (p, abs_z, tol)
+                    assert np.array_equal(got[2][: stop + 1], dlog[: stop + 1])
+                for cap in (30, 110):
+                    if peak > cap:
+                        with pytest.raises(NonConvergenceError,
+                                           match="still growing"):
+                            kernel_series(p, zeta, tol=tol, max_terms=cap)
+                        raised["growing"] += 1
+                    elif stop >= cap:
+                        with pytest.raises(NonConvergenceError,
+                                           match="did not meet tol"):
+                            kernel_series(p, zeta, tol=tol, max_terms=cap)
+                        raised["tol"] += 1
+                    else:
+                        sv = kernel_series(p, zeta, tol=tol, max_terms=cap)
+                        assert sv.truncation_terms == stop + 1
+        assert min(raised.values()) >= 3, raised
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             kernel_series(WeightParams(1.0, 2.0), math.inf)
@@ -317,7 +367,7 @@ class TestGridEvaluators:
         split and single-entry batches agree bit for bit.  The real entries
         lie on both sides of the Mittag-Leffler switch, seven of them
         within three ulps of it; the complex ones with the last two |z|
-        lie past the summation cut-off of the peak estimate."""
+        have log|S| near 900 and 2000, and are summed."""
         alpha = 1.7
         rng = np.random.default_rng(4)
         for m in (0.5, 1.0, 4.0, 10.0):
@@ -359,26 +409,6 @@ class TestGridEvaluators:
                 assert np.array_equal(whole, back), (m, grid.__name__)
                 for i in perm[:40]:
                     assert grid(p, xs[i:i + 1])[0] == whole[i], (m, i)
-
-    def test_shortcircuit_filter_misses_no_radius(self):
-        """The peak estimate is computed only where the Mittag-Leffler log
-        at max(x, _ml_switch) passes _SHORTCIRCUIT_LOG - 1.  It must stay
-        at least that margin below there on x in [1, 2000], so the filter
-        keeps every radius whose estimate passes the cut-off."""
-        tol = special.DEFAULT_SERIES_TOL
-        for m in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0):
-            for alpha in (1e-3, 1.0, 1e3, 1e6):
-                p = WeightParams(alpha, m)
-                t = (np.geomspace(1.0, 2000.0, 4001) / alpha) ** (2.0 / m)
-                x = alpha * np.power(t, m / 2.0)
-                est = special._peak_log_estimate(p, t)
-                switch = special._ml_switch(m, tol)
-                top = special._ml_log(m, np.maximum(x, switch))
-                assert np.all(est <= top - 1.0), (m, alpha)
-                skip, fired = special._shortcircuit(p, t, tol)
-                assert np.array_equal(skip, est > special._SHORTCIRCUIT_LOG)
-                assert skip.any() and not skip.all()
-                assert np.array_equal(fired, est[skip])
 
     def test_rows_cover_every_entry(self):
         """The rows of a chunk come from its largest entry; every entry must
@@ -555,8 +585,8 @@ class TestCircleSeries:
         split and single-radius batches agree bit for bit on both
         half-meshes, and so do the live subsets that select keeps.  The
         radii are s = 0, 257 summed ones (one alone in the last chunk of
-        the whole batch) and two past the summation cut-off of the peak
-        estimate.  The circles are summed on both sides of the switch of
+        the whole batch) and two with log|S| near 900 and 2000.  The
+        circles are summed on both sides of the switch of
         the real grid's Mittag-Leffler branch, seven of them within three
         ulps of it."""
         alpha = 1.7
@@ -597,12 +627,21 @@ class TestCircleSeries:
                                           0.4, off, n_nodes)
                         assert np.array_equal(
                             sub, whole[100:][keep[100:] & first]), (m, n_nodes)
-            # s = 0 and the radii past the cut-off take the dense grid's
-            # constant value on every node
-            const = np.r_[0, s.size - 2, s.size - 1]
-            assert np.array_equal(whole[const],
-                                  np.repeat(series_abs2_grid(p, s[const])[:, None],
-                                            64, axis=1))
+            # s = 0 takes the dense grid's constant value on every node
+            assert np.array_equal(whole[0], np.repeat(
+                series_abs2_grid(p, np.zeros(1)), 64))
+            # the two largest radii are summed: they match the dense grid
+            # on the nodes, at the gate of test_matches_dense_grid
+            big = s[-2:]
+            fft = self._nodes(batches["whole"][0], 0.4, 0.0, 64)[-2:]
+            psi = 0.4 - 2.0 * math.pi * np.arange(64) / 64
+            dense = series_abs2_grid(p, big[:, None] * np.exp(1j * psi))
+            top = 2.0 * log_series_grid(p, big)[:, None]
+            n_stop = np.array([kernel_series(p, float(x)).truncation_terms
+                               for x in big]) - 1
+            gap = np.abs(np.exp(fft - top) - np.exp(dense - top))
+            assert np.all(gap.max(axis=1)
+                          <= 8.0 * _EPS * math.pi * (n_stop + 1)), m
 
     def test_matches_dense_grid(self):
         """The FFT against series_abs2_grid on the same nodes, with the gap
@@ -617,9 +656,8 @@ class TestCircleSeries:
         for m in (0.5, 1.0, 2.0, 4.0, 10.0):
             for alpha in (1e-3, 1.0, 1e3):
                 p = WeightParams(alpha, m)
-                # peak indices up to 2000, short of the cut-off 2n/m = 800
-                n_peak = np.array([n for n in (1, 10, 100, 600, 2000)
-                                   if 2.0 * n / m <= 700.0])
+                # peak indices up to 2000, where log S reaches 8000 at m = 0.5
+                n_peak = np.array([1, 10, 100, 600, 2000])
                 s = (2.0 * n_peak / (m * alpha)) ** (2.0 / m)
                 circles = special.CircleSeries(p, s)
                 top = 2.0 * log_series_grid(p, s)[:, None]
@@ -641,6 +679,16 @@ class TestCircleSeries:
                                      - np.exp(dense - top)).max(axis=1)
                         worst = max(worst, float(np.max(gap / gate)))
         assert worst <= 1.0
+
+    def test_complex_paths_fail_loudly(self):
+        """At alpha = 1e6, m = 2 and |zeta| = 1 the peak index is 1e6, far
+        past max_terms: both complex paths raise rather than return a
+        value that is not |S|^2."""
+        p = WeightParams(1e6, 2.0)
+        with pytest.raises(NonConvergenceError):
+            series_abs2_grid(p, np.exp(1j * np.array([0.0, 0.3, 2.0])))
+        with pytest.raises(NonConvergenceError):
+            special.CircleSeries(p, np.array([0.5, 1.0]))
 
     def test_rejects_bad_radii(self):
         p = WeightParams(1.0, 2.0)
