@@ -40,7 +40,7 @@ from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, CircleSeries,
 # bench/tracing.py wraps this module attribute; the 2-D route no longer calls it
 from .special import series_abs2_grid  # noqa: F401
 from .quadrature import (DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_REL, QuadResult,
-                         RadialSymbol, _check_bound, _run_de_pair,
+                         RadialSymbol, _check_bound, _DESum,
                          integrate_radial)
 
 _EPS = np.finfo(float).eps
@@ -286,10 +286,10 @@ def berezin_general(params: WeightParams, f, z: complex, *,
     Independent of the radial series route: the kernel factor is evaluated
     numerically on every angular node, by one FFT of the folded series per
     circle, and integrated by trapezoid doubling, each circle to its own
-    rule, then radially by the exp-sinh rule.  converged is False when
-    either rule is unmet, the angular one at 8192 nodes.  evaluations
-    counts the angular nodes evaluated.  Raises ValueError when f returns
-    NaN or exceeds its sup_bound.
+    rule, then radially by the exp-sinh rule.  converged is False, and
+    abs_error_estimate inf, when either rule is unmet, the angular one at
+    8192 nodes.  evaluations counts the angular nodes evaluated.  Raises
+    ValueError when f returns NaN or exceeds its sup_bound.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -310,13 +310,13 @@ def berezin_general(params: WeightParams, f, z: complex, *,
         # kernel magnitudes far outside double range exact
         return sign, log_abs - s_z.log_magnitude
 
-    t_sum, _, log_scale, err_s, _, converged = _run_de_pair(
-        g_pair, params.alpha, params.m, 1.0, tol_rel, max_levels)
+    (t_sum,), (err_s,), (log_scale,), (converged,) = _DESum(
+        g_pair, params.alpha, params.m, [1.0], tol_rel, max_levels, 0.0).run()
     factor = math.exp(_normalization_log(params) + params.log_gamma_2m
                       + log_scale)
     value = t_sum * factor
     rel_extra = (avg.max_rel_err + s_z.truncation_error_bound
                  + 2.0 * series_tol)  # angular + normalization + node series
-    err = err_s * factor + abs(value) * rel_extra
-    return QuadResult(value, err, avg.point_evals,
-                      bool(converged) and not avg.capped)
+    converged = bool(converged) and not avg.capped
+    err = err_s * factor + abs(value) * rel_extra if converged else math.inf
+    return QuadResult(value, err, avg.point_evals, converged)

@@ -52,8 +52,6 @@ def _add_config_flags(p):
                    help="relative quadrature tolerance")
     p.add_argument("--series-max-terms", type=int, dest="series_max_terms")
     p.add_argument("--quad-max-levels", type=int, dest="quad_max_levels")
-    p.add_argument("--fd-step-rel", type=float, dest="fd_step_rel",
-                   help="relative finite-difference step")
     p.add_argument("--defect-kappa", type=float, dest="defect_kappa",
                    help="significance threshold in error-bound units")
 

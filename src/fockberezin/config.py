@@ -19,12 +19,10 @@ class RunConfig:
     tol_quad_rel: float = DEFAULT_QUAD_TOL_REL
     series_max_terms: int = DEFAULT_MAX_TERMS
     quad_max_levels: int = DEFAULT_MAX_LEVELS
-    fd_step_rel: float = 1e-4
     defect_kappa: float = DEFAULT_KAPPA
 
     def validate(self):
-        for name in ("tol_series", "tol_quad_rel", "fd_step_rel",
-                     "defect_kappa"):
+        for name in ("tol_series", "tol_quad_rel", "defect_kappa"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} must be > 0")
         for name in ("series_max_terms", "quad_max_levels"):
@@ -39,7 +37,6 @@ KEY_TO_FIELD = {
     "tol.quad.rel": "tol_quad_rel",
     "series.max_terms": "series_max_terms",
     "quad.max_levels": "quad_max_levels",
-    "fd.step_rel": "fd_step_rel",
     "defect.kappa": "defect_kappa",
 }
 _FIELD_TO_KEY = {v: k for k, v in KEY_TO_FIELD.items()}

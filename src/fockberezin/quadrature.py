@@ -10,10 +10,11 @@ The transformed integrand is summed on a log scale relative to its running
 peak, so the same engine serves integrals whose magnitude is far outside
 double range (callers needing those use integrate_radial_log).
 
-One engine (_DESum) integrates a ladder of powers at once: the exp-sinh
-nodes do not depend on the power, so g is evaluated once per level for all
-of them (integrate_radial_log_powers; the U(n) of one weight pair are such
-a ladder).  The single-power entry points run it with one power.
+One engine (_DESum) runs every exp-sinh integral and returns every error
+estimate, rounding floors included, and inf for a power that does not
+converge.  It integrates a ladder of powers at once: the nodes do not
+depend on the power, so g is evaluated once per level for all of them (the
+U(n) of one weight pair are such a ladder).
 """
 
 from __future__ import annotations
@@ -144,16 +145,33 @@ class _DESum:
     tolerance or its own rounding floor, below which no further level can
     take it.  The rule reads only the row's own sums, so it does not depend
     on the units of the integral.  A row that meets neither by max_levels
-    stops unconverged.
+    stops unconverged, and its error is inf.
+
+    A row's integral is t_sum exp(log_scale): its running scale plus the
+    prefactor log_pref = -log m - q log c of u = c r^m.  Its error is at
+    least eps (14 a + s), a and s the sums of h |t_k| and h |t_k| E_k, for
+    the rounding of the sums and of each exp(), and eps (8 a + |log_scale|
+    |t_sum|) for that of the final exp().  evals counts the evaluations of g.
     """
 
-    def __init__(self, q, log_c, m, g_pair, tol_rel, max_levels, lo_shift):
-        self.q = q
-        self.log_c = log_c
+    def __init__(self, g_pair, c, m, powers, tol_rel, max_levels, decay):
+        if not (c > 0.0 and math.isfinite(c)):
+            raise ValueError(f"decay scale c must be positive and finite, got {c!r}")
+        if not (m > 0.0 and math.isfinite(m)):
+            raise ValueError(f"exponent m must be positive and finite, got {m!r}")
+        if not (decay >= 0.0 and math.isfinite(decay)):
+            raise ValueError(f"symbol decay must be finite and >= 0, got {decay!r}")
+        powers = np.asarray(powers, dtype=float)
+        if (powers < 0.0).any():
+            raise ValueError(f"power must be >= 0, got {float(powers.min())!r}")
+        self.q = q = (powers + 1.0) / m
+        self.log_c = math.log(c)
+        self.log_pref = -math.log(m) - q * self.log_c
         self.m = m
         self.g_pair = g_pair
         self.tol_rel = tol_rel
         self.max_levels = max_levels
+        lo_shift = math.log1p(decay / c)
         width = _LOG_WINDOW_DECAY if lo_shift > 0.0 else _LOG_WINDOW
         windows = [_u_window(qj, width) for qj in q.tolist()]
         # each row's window in t, as (t_lo, -t_hi)
@@ -189,7 +207,7 @@ class _DESum:
                           _FLOOR_ULPS * _EPS * e_sum)
 
     def run(self):
-        """Arrays over the rows: t_sum, a_sum, scale, err and converged.
+        """Arrays over the rows: t_sum, err, log_scale and converged.
 
         The rows still refining are the columns of the arrays that follow
         them through the levels: their index, q, node range per level and
@@ -266,7 +284,10 @@ class _DESum:
         # the floor may push the estimate past tolerance
         converged = (converged > 0.0) & (e <= self._tolerance(t, s))
         # a row that saw no term has t = 0 on any scale
-        return t, a, np.where(sc > _NO_TERM, sc, 0.0), e, converged
+        log_scale = np.where(sc > _NO_TERM, sc, 0.0) + self.log_pref
+        # the conditioning of the final exp that applies log_scale
+        np.maximum(e, _EPS * (8.0 * a + np.abs(log_scale * t)), out=e)
+        return t, np.where(converged, e, math.inf), log_scale, converged
 
 
 def _check_bound(gv, sup_bound):
@@ -278,34 +299,6 @@ def _check_bound(gv, sup_bound):
     if top > sup_bound * (1.0 + 1e-9) + 1e-300:
         raise ValueError(
             f"symbol exceeded its declared sup bound {sup_bound} (saw {top})")
-
-
-def _run_de_pairs(g_pair, c, m, powers, tol_rel, max_levels, decay):
-    """One exp-sinh run for every power in powers, for a g that decays like
-    exp(-decay r^m).  Returns arrays over the powers (t_sum, a_sum,
-    log_scale, err, converged) and the number of g evaluations."""
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"decay scale c must be positive and finite, got {c!r}")
-    if not (m > 0.0 and math.isfinite(m)):
-        raise ValueError(f"exponent m must be positive and finite, got {m!r}")
-    if not (decay >= 0.0 and math.isfinite(decay)):
-        raise ValueError(f"symbol decay must be finite and >= 0, got {decay!r}")
-    powers = np.asarray(powers, dtype=float)
-    if (powers < 0.0).any():
-        raise ValueError(f"power must be >= 0, got {float(powers.min())!r}")
-    q = (powers + 1.0) / m
-    log_pref = -math.log(m) - q * math.log(c)
-    engine = _DESum(q, math.log(c), m, g_pair, tol_rel, max_levels,
-                    math.log1p(decay / c))
-    t_sum, a_sum, scale, err, converged = engine.run()
-    return t_sum, a_sum, scale + log_pref, err, converged, engine.evals
-
-
-def _run_de_pair(g_pair, c, m, power, tol_rel, max_levels, decay=0.0):
-    rows = _run_de_pairs(g_pair, c, m, [power], tol_rel, max_levels, decay)
-    (t_sum,), (a_sum,), (log_scale,), (err,), (converged,) = (
-        v.tolist() for v in rows[:5])
-    return t_sum, a_sum, log_scale, err, rows[5], converged
 
 
 def _pair_from_symbol(g: RadialSymbol):
@@ -325,26 +318,23 @@ def _pair_from_symbol(g: RadialSymbol):
     return g_pair
 
 
-def _err_floor(err, t_sum, a_sum, log_scale):
-    """Error estimates cannot honestly drop below rounding: trapezoid noise
-    plus the conditioning of the final exp that applies the log prefactor."""
-    return np.maximum(err, _EPS * (8.0 * a_sum + abs(log_scale) * abs(t_sum)))
-
-
 def integrate_radial(g: RadialSymbol, c: float, m: float, power: float = 0.0, *,
                      tol_rel=DEFAULT_QUAD_TOL_REL,
                      max_levels=DEFAULT_MAX_LEVELS) -> QuadResult:
     """Approximate integral_0^inf r^power g(r) exp(-c r^m) dr.
 
     Never raises on slow convergence: the best value is returned with
-    converged=False after max_levels doublings.
+    converged=False and an abs_error_estimate of inf after max_levels
+    doublings.
     """
-    t_sum, a_sum, log_scale, err, evals, converged = _run_de_pair(
-        _pair_from_symbol(g), c, m, power, tol_rel, max_levels, g.decay)
-    err = _err_floor(err, t_sum, a_sum, log_scale)
+    engine = _DESum(_pair_from_symbol(g), c, m, [power], tol_rel, max_levels,
+                    g.decay)
+    (t_sum,), (err,), (log_scale,), (converged,) = engine.run()
     with np.errstate(over="ignore"):
-        factor = float(np.exp(log_scale))
-    return QuadResult(t_sum * factor, err * factor, evals, converged)
+        factor = np.exp(log_scale)
+    # an inf error stays inf where the factor underflows to 0
+    return QuadResult(t_sum * factor, err * factor if converged else math.inf,
+                      engine.evals, converged)
 
 
 def integrate_radial_log_powers(g: RadialSymbol, c: float, m: float, powers, *,
@@ -353,16 +343,16 @@ def integrate_radial_log_powers(g: RadialSymbol, c: float, m: float, powers, *,
     """integrate_radial_log for every power in powers, from one exp-sinh
     run whose nodes all the powers share.  Returns arrays over the powers
     (log |value|, sign, relative error, converged), and the number of
-    evaluations of g."""
-    t_sum, a_sum, log_scale, err, converged, evals = _run_de_pairs(
-        _pair_from_symbol(g), c, m, powers, tol_rel, max_levels, g.decay)
-    err = _err_floor(err, t_sum, a_sum, log_scale)
+    evaluations of g.  An unconverged power's relative error is inf."""
+    engine = _DESum(_pair_from_symbol(g), c, m, powers, tol_rel, max_levels,
+                    g.decay)
+    t_sum, err, log_scale, converged = engine.run()
     mod = np.abs(t_sum)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_value = log_scale + np.log(mod)
         # a zero sum has no relative accuracy
         rel = np.where(mod > 0.0, err / mod, math.inf)
-    return (log_value, np.sign(t_sum) + 0.0, rel, converged), evals
+    return (log_value, np.sign(t_sum) + 0.0, rel, converged), engine.evals
 
 
 def integrate_radial_log(g: RadialSymbol, c: float, m: float, power: float = 0.0, *,

@@ -341,19 +341,17 @@ def check_tt_identities(cfg, cache):
 
 
 def check_derivative_identities(cfg, cache):
-    """Finite differences against the ladder identity, plus the h^2 order."""
+    """Finite differences against the ladder identity, plus the h^2 order:
+    the step is 1e-4 of beta, then half that."""
     worst = 0.0
     for m in (2.0, 4.0):
         for n in (0, 1):
             for a, b in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
-                _, _, gap = derivative_identity_check(a, b, m, n,
-                                                      h_rel=cfg.fd_step_rel,
+                _, _, gap = derivative_identity_check(a, b, m, n, h_rel=1e-4,
                                                       cache=cache)
                 worst = max(worst, gap)
-    _, _, g1 = derivative_identity_check(1.0, 2.0, 2.0, 0,
-                                         h_rel=cfg.fd_step_rel, cache=cache)
-    _, _, g2 = derivative_identity_check(1.0, 2.0, 2.0, 0,
-                                         h_rel=cfg.fd_step_rel / 2.0, cache=cache)
+    g1, g2 = (derivative_identity_check(1.0, 2.0, 2.0, 0, h_rel=h,
+                                        cache=cache)[2] for h in (1e-4, 5e-5))
     factor = g1 / g2
     ok = worst <= 1e-5 and 3.0 <= factor <= 5.0
     return ok, f"max rel gap {worst:.2e}, halving factor {factor:.2f}"

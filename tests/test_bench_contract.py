@@ -5,7 +5,9 @@ renames one fails here rather than in a traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from fockberezin import berezin, scan
+import numpy as np
+
+from fockberezin import berezin, commutativity, scan
 from fockberezin.berezin import ExpSymbol
 from fockberezin.config import RunConfig
 from fockberezin.special import WeightParams
@@ -32,3 +34,17 @@ def test_tracer_sees_the_scan_and_crossval_layers():
     for name in ("commutativity.u_compute", "commutativity.nested_at_zero",
                  "special.log_series_grid", "berezin.berezin_general"):
         assert tracer.counts[name]["calls"] > 0, name
+
+
+def test_tracer_counts_integrate_radial_log():
+    # no workload reaches this site; its hook unpacks the 5-tuple that
+    # integrate_radial_log returns, so a change of that shape fails here
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        commutativity.asymptotic_slopes(4.0, 1.0, np.geomspace(1e3, 1e5, 3))
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts["quadrature.integrate_radial_log"]
+    assert counts["calls"] > 0
+    assert counts["nodes"] > 0

@@ -98,6 +98,7 @@ class TestAtZero:
                          eval_array=lambda w: 0.5 + 0.5 * np.tanh(np.real(w)))
         res = berezin_at_zero(WeightParams(1e-3, 0.5), f)
         assert not res.converged
+        assert res.abs_error_estimate == math.inf
         assert res.value == pytest.approx(0.5, rel=1e-6)
 
     def test_radial_symbol_direct(self):
@@ -193,6 +194,14 @@ class TestGeneral:
         res = berezin_general(p, f, complex(0.8, -0.3), tol_rel=1e-9)
         assert abs(res.value) <= 1.0 + res.abs_error_estimate
         assert res.value >= -res.abs_error_estimate
+
+    def test_unmet_radial_rule_reports_inf(self):
+        # one radial level: the rule is unmet, and the estimate says so
+        # rather than reporting the last level difference (2.9e-3)
+        res = berezin_general(WeightParams(1.0, 3.0), ExpSymbol(0.5), 1.2,
+                              max_levels=1)
+        assert not res.converged
+        assert res.abs_error_estimate == math.inf
 
     @pytest.mark.parametrize("bad", [math.nan, 5.0])
     @pytest.mark.parametrize("kind", [RadialSymbol, PlanarSymbol])

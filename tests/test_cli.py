@@ -199,6 +199,22 @@ class TestCliCommands:
         assert rc == 2
         assert "unknown key 'tol.quad.abs'" in capsys.readouterr().err
 
+    def test_fd_step_rel_flag_rejected(self, capsys):
+        # the derivative check pins its own finite-difference steps
+        with pytest.raises(SystemExit) as ei:
+            main(["verify", "--fd-step-rel", "1e-3"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --fd-step-rel" in (
+            capsys.readouterr().err)
+
+    def test_fd_step_rel_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fd.step_rel = 1e-3\n")
+        rc = main(["defect", "--m", "2", "--alpha", "1", "--beta", "2",
+                   "--delta", "1", "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown key 'fd.step_rel'" in capsys.readouterr().err
+
     def test_moments_output(self, capsys):
         rc = main(["moments", "--m", "2", "--alpha", "1", "--n-max", "5"])
         out = capsys.readouterr().out

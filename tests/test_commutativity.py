@@ -182,6 +182,7 @@ class TestULadder:
             with pytest.raises(NonConvergenceError) as ei:
                 cache.u(*args, 2241)
             assert ei.value.partial == math.inf
+            assert ei.value.error_bound == math.inf
             assert f"m={args[2]},n=2241)" in str(ei.value)
         u = cache.u(*args, 2265)
         assert u.n == 2265 and u.value > 0.0 and u.rel_error < 1e-11

@@ -161,6 +161,28 @@ class TestPowerLadder:
             assert abs(log_val - one_log) <= max(4.0 * _EPS, rel), power
 
 
+class TestUnconverged:
+    """A power that does not converge reports an error of inf, never a
+    plausible small number."""
+
+    def test_integrate_radial_estimate_is_inf(self):
+        # one level leaves the difference of levels 0 and 1, 7.8e-4, which
+        # no stop rule reads before level 2
+        res = integrate_radial(unit_symbol(), 1.0, 2.0, 1.0, max_levels=1)
+        assert not res.converged
+        assert res.abs_error_estimate == math.inf
+        assert res.value == pytest.approx(0.5, rel=1e-4)
+
+    def test_log_forms_rel_is_inf(self):
+        _, _, rel, _, converged = integrate_radial_log(
+            unit_symbol(), 1.0, 2.0, 1.0, max_levels=1)
+        assert not converged and rel == math.inf
+        (_, _, rel, converged), _ = integrate_radial_log_powers(
+            unit_symbol(), 1.0, 2.0, [1.0, 3.0], max_levels=1)
+        assert not converged.any()
+        assert (rel == math.inf).all()
+
+
 class TestValidation:
     @pytest.mark.parametrize("c,m,power", [(-1.0, 2.0, 1.0), (0.0, 2.0, 1.0),
                                            (1.0, 0.0, 1.0), (1.0, 2.0, -1.0),
