@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .commutativity import DEFAULT_KAPPA
-from .quadrature import DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_REL
+from .quadrature import DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_REL, _FIRST_LEVEL
 from .special import DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL
 
 
@@ -25,9 +25,11 @@ class RunConfig:
         for name in ("tol_series", "tol_quad_rel", "defect_kappa"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} must be > 0")
-        for name in ("series_max_terms", "quad_max_levels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be >= 1")
+        # the exp-sinh stop rule first reads at the level after the first
+        for name, least in (("series_max_terms", 1),
+                            ("quad_max_levels", _FIRST_LEVEL + 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be >= {least}")
         return self
 
 

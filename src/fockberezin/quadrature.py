@@ -32,7 +32,9 @@ DEFAULT_QUAD_TOL_REL = 1e-12
 DEFAULT_MAX_LEVELS = 12
 
 _A = math.pi / 2.0     # exp-sinh steepness
-_H0 = 0.5              # level-0 mesh in the transformed variable
+_H0 = 0.5              # level 0's mesh in the transformed variable: level
+                       # L has h = _H0 / 2^L, and max_levels counts from it
+_FIRST_LEVEL = 2       # a run's first sum is on h = 1/8, all its nodes at once
 _LOG_WINDOW = 760.0    # keep nodes whose integrand is within e^-760 of the peak
 _LOG_WINDOW_DECAY = 100.0   # the same, for a symbol that declares its decay
 _EPS = float(np.finfo(float).eps)
@@ -128,6 +130,15 @@ class _DESum:
     operations over the rows still refining, the same for one row as for a
     block; a row stops refining once it converges.
 
+    A run starts at level _FIRST_LEVEL (h = _H0/4 = 1/8): its first pass
+    evaluates g once on every node k/8 inside the windows, the nodes of
+    levels 0, 1 and 2 together: no stop rule can read before level 3, the
+    first level with a predecessor, so passes at those levels would only
+    cost calls of g.  Each
+    later level then evaluates g on its odd nodes only.  A run with
+    max_levels <= _FIRST_LEVEL makes one pass, at h = _H0/2^max_levels, and
+    stops unconverged.
+
     When g itself decays like exp(-decay r^m), the integrand of row j
     follows the model u^(q_j - 1) e^-(1 + decay/c) u, whose mass sits near
     (c + decay) r^m = q_j instead of c r^m = q_j.  Each window is then the
@@ -140,7 +151,7 @@ class _DESum:
     Each term's exp() carries about E_k ulps, E_k = |q x_k| + u_k + |log
     g_k| + |log w_k| the absolute size of node k's exponent, so eps sum_k h
     |t_k| E_k is a row's rounding floor.  One rule stops every row: from
-    level 2 on, a row converges once its level-to-level difference is at
+    level 3 on, a row converges once its level-to-level difference is at
     most max(tol_rel |t|, _FLOOR_ULPS eps sum_k h |t_k| E_k), its relative
     tolerance or its own rounding floor, below which no further level can
     take it.  The rule reads only the row's own sums, so it does not depend
@@ -164,6 +175,8 @@ class _DESum:
         powers = np.asarray(powers, dtype=float)
         if (powers < 0.0).any():
             raise ValueError(f"power must be >= 0, got {float(powers.min())!r}")
+        if max_levels < 0:
+            raise ValueError(f"max_levels must be >= 0, got {max_levels!r}")
         self.q = q = (powers + 1.0) / m
         self.log_c = math.log(c)
         self.log_pref = -math.log(m) - q * self.log_c
@@ -227,13 +240,13 @@ class _DESum:
         state[3], state[4] = _NO_TERM, math.nan
         out = state.copy()   # each row's state when it stopped
         new = np.empty((3, n_rows))
-        level = 0
+        level = first = min(_FIRST_LEVEL, self.max_levels)
         while level <= self.max_levels and row.size:
             sums, scale, err = state[:3], state[3], state[4]
             h = _H0 / 2.0 ** level
             lo, hi = np.minimum.reduce(bounds[level], axis=1).tolist()
             lo, hi = int(lo), -int(hi)
-            if level == 0:
+            if level == first:
                 k = np.arange(lo, hi + 1)
             else:
                 k = np.arange(lo + 1 - lo % 2, hi + 1, 2)   # the odd k
@@ -259,7 +272,7 @@ class _DESum:
             np.add.reduce(mod, axis=1, out=new[1])
             np.add(q * (mod @ abs_x), mod @ rest, out=new[2])
             new *= h
-            if level == 0:
+            if level == first:
                 sums[...] = new
             else:
                 sums *= adj
@@ -267,8 +280,7 @@ class _DESum:
                 sums *= 0.5
                 sums += new
                 np.abs(np.subtract(sums[0], prev, out=err), out=err)
-                if level >= 2:
-                    state[5] = err <= self._tolerance(sums[0], sums[2])
+                state[5] = err <= self._tolerance(sums[0], sums[2])
             done = (state[5] > 0.0) | (level == self.max_levels)
             if np.count_nonzero(done):
                 out[:, row[done]] = state[:, done]

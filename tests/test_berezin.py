@@ -196,8 +196,8 @@ class TestGeneral:
         assert res.value >= -res.abs_error_estimate
 
     def test_unmet_radial_rule_reports_inf(self):
-        # one radial level: the rule is unmet, and the estimate says so
-        # rather than reporting the last level difference (2.9e-3)
+        # one radial level: a single sum, with no level difference for the
+        # rule to read, so the rule is unmet and the estimate says so
         res = berezin_general(WeightParams(1.0, 3.0), ExpSymbol(0.5), 1.2,
                               max_levels=1)
         assert not res.converged

@@ -270,12 +270,20 @@ class TestCliCommands:
         assert "unguaranteed" in err
 
     def test_nonconvergence_exit_code(self, capsys):
-        # one doubling level can never satisfy the convergence rule
+        # 3 levels, the fewest accepted, leave U(1) unconverged
         rc = main(["defect", "--m", "4", "--alpha", "1", "--beta", "2",
-                   "--delta", "1", "--quad-max-levels", "1"])
+                   "--delta", "1", "--quad-max-levels", "3"])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "non-convergence" in err
+        assert "non-convergence" in err and "n=1)" in err
+
+    def test_too_few_levels_exit_code(self, capsys):
+        # below 3 levels no exp-sinh row can converge: the rule first reads
+        # at level 3
+        rc = main(["defect", "--m", "4", "--alpha", "1", "--beta", "2",
+                   "--delta", "1", "--quad-max-levels", "2"])
+        assert rc == 2
+        assert "quad.max_levels must be >= 3" in capsys.readouterr().err
 
     def test_nonconvergence_with_overflowing_partial(self, capsys):
         # an unconverged U(n) whose partial value overflows still exits 3:

@@ -240,8 +240,8 @@ class TestRoundingFloor:
         assert 1.5 * evals < evals_full
 
     def test_spares_a_row_still_converging(self, monkeypatch):
-        # level differences 1.7e-1, 6.4e-7, 2.0e-6, 2.8e-14 at n = 16: the
-        # third does not fall, but it is far above the row's rounding
+        # relative level differences 2.0e-6 and 2.8e-14 at n = 16 (levels 3
+        # and 4): the first is far above the row's rounding
         args = (92.67044675006838, 2707.9234317226887, 6.0, range(_U_BLOCK))
         rows, evals = self._rows(*args)
         monkeypatch.setattr(quadrature, "_FLOOR_ULPS", 0.0)

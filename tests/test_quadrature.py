@@ -7,7 +7,8 @@ import pytest
 
 from fockberezin import (RadialSymbol, UCache, integrate_radial,
                          integrate_radial_log, radial_moment, unit_symbol)
-from fockberezin.quadrature import _EPS, integrate_radial_log_powers
+from fockberezin.quadrature import (_A, _EPS, _DESum,
+                                    integrate_radial_log_powers)
 
 
 class TestClosedForms:
@@ -161,13 +162,65 @@ class TestPowerLadder:
             assert abs(log_val - one_log) <= max(4.0 * _EPS, rel), power
 
 
+def _counting_symbol():
+    """unit_symbol() that keeps, per call, the exp-sinh node t of each
+    radius it gets: at c = 1 and m = 2, r = exp(A sinh(t) / 2)."""
+    calls = []
+
+    def ones(r):
+        calls.append(np.arcsinh(2.0 * np.log(r) / _A))
+        return np.ones_like(r)
+
+    return RadialSymbol(lambda r: 1.0, 1.0, eval_array=ones), calls
+
+
+class TestFirstLevel:
+    """A run makes its first sum on h = 1/8, every node of the window in
+    one call of g, and reads the stop rule from level 3 on."""
+
+    def test_first_call_takes_every_node_then_odd_nodes(self):
+        g, calls = _counting_symbol()
+        res = integrate_radial(g, 1.0, 2.0, 1.0)
+        assert res.converged and len(calls) >= 2
+        t_lo, neg_t_hi = _DESum(None, 1.0, 2.0, [1.0], 1e-12, 12,
+                                0.0).window[:, 0]
+        for level, t in enumerate(calls, start=2):
+            # the nodes k h of the level, h = 1/2^(level + 1)
+            scaled = np.ldexp(t, level + 1)
+            k = np.rint(scaled)
+            assert np.allclose(scaled, k, rtol=0.0, atol=1e-9), level
+            lo = math.ceil(math.ldexp(t_lo, level + 1))
+            hi = math.floor(math.ldexp(-neg_t_hi, level + 1))
+            want = np.arange(lo, hi + 1)
+            if level > 2:
+                want = want[want % 2 == 1]
+            assert k.tolist() == want.tolist(), level
+        assert res.evaluations == sum(t.size for t in calls)
+
+    def test_loose_tolerance_stops_after_two_calls(self):
+        # levels 2 and 3: the first sum alone can never converge
+        g, calls = _counting_symbol()
+        res = integrate_radial(g, 1.0, 2.0, 1.0, tol_rel=1e-2)
+        assert res.converged and len(calls) == 2
+        assert res.value == pytest.approx(0.5, rel=1e-2)
+
+    @pytest.mark.parametrize("max_levels", [1, 2])
+    def test_below_level_3_is_unconverged(self, max_levels):
+        g, calls = _counting_symbol()
+        res = integrate_radial(g, 1.0, 2.0, 1.0, tol_rel=1e-2,
+                               max_levels=max_levels)
+        assert not res.converged and len(calls) == 1
+        assert res.abs_error_estimate == math.inf
+        assert res.value == pytest.approx(0.5, rel=1e-2)
+
+
 class TestUnconverged:
     """A power that does not converge reports an error of inf, never a
     plausible small number."""
 
     def test_integrate_radial_estimate_is_inf(self):
-        # one level leaves the difference of levels 0 and 1, 7.8e-4, which
-        # no stop rule reads before level 2
+        # one level leaves a single sum, on h = 1/4, with no predecessor for
+        # the stop rule to read
         res = integrate_radial(unit_symbol(), 1.0, 2.0, 1.0, max_levels=1)
         assert not res.converged
         assert res.abs_error_estimate == math.inf
@@ -190,6 +243,10 @@ class TestValidation:
     def test_bad_arguments(self, c, m, power):
         with pytest.raises(ValueError):
             integrate_radial(unit_symbol(), c, m, power)
+
+    def test_negative_max_levels(self):
+        with pytest.raises(ValueError):
+            integrate_radial(unit_symbol(), 1.0, 2.0, 1.0, max_levels=-1)
 
     def test_radial_moment_examples(self):
         assert radial_moment(1.0, 2.0, 0) == pytest.approx(math.log(math.pi), rel=1e-14)
