@@ -11,6 +11,15 @@ swaps the roles of inner and outer; the difference of the two orders is the
 commutator defect, which vanishes identically exactly when m = 2.  Because
 zero-vs-nonzero is the whole question, every defect carries
 a propagated error bound and a significance verdict instead of a bare float.
+
+U(n) comes in blocks of _U_BLOCK rows.  A block whose mass lies past the
+Mittag-Leffler switch of 1/S_inner is a Gamma ratio,
+
+    U(n) ~ (4 pi/m^2) inner^{4n/m + 2/m - 1} (inner + outer)^{-s}
+           Gamma(s) / Gamma((2n+2)/m),      s = (2n+4)/m - 1,
+
+taken wherever its proven bound (special._ml_inverse_moments) meets the
+quadrature tolerance in every row; every other block is one exp-sinh run.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from .quadrature import (DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_REL, QuadResult,
                          RadialSymbol, integrate_radial_log,
                          integrate_radial_log_powers)
 from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, WeightParams,
-                      log_series_grid, moment_table)
+                      _ml_inverse_moments, log_series_grid, moment_table)
 
 _EPS = float(np.finfo(float).eps)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -117,9 +126,11 @@ class UCache:
     """Shared memo for U values and the 1/S node caches.
 
     A miss computes the whole fixed block of _U_BLOCK values around n
-    (_u_compute) and stores it as one UBlock of arrays, which block() hands
-    out whole and u() one row at a time; a row whose quadrature did not
-    converge raises its NonConvergenceError only when that n is asked for.
+    (_u_compute), in closed form past the Mittag-Leffler switch or else by
+    one exp-sinh run, and stores it as one UBlock of arrays, which block()
+    hands out whole and u() one row at a time; a row whose quadrature did
+    not converge raises its NonConvergenceError only when that n is asked
+    for.
     Blocks are computed under the cache's lock, so concurrent callers never
     repeat one.  Values are pure functions of (alpha, beta, m, n) and the
     cache's four settings (series_tol, max_terms, quad_tol_rel,
@@ -229,19 +240,29 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
 
 def _u_compute(alpha, beta, m, n0, cache: UCache) -> UBlock:
     """The UBlock of U(n) for n = n0 .. n0 + _U_BLOCK - 1, moments of one
-    radial measure, from one exp-sinh run over their shared nodes."""
-    g = cache.inv_kernel_symbol(alpha, m)
-    n = np.arange(n0, n0 + _U_BLOCK, dtype=float)
-    (log_int, sign, rel, converged), _ = integrate_radial_log_powers(
-        g, beta, m, 2.0 * n + 1.0, tol_rel=cache.quad_tol_rel,
-        max_levels=cache.quad_max_levels)
+    radial measure.  Their integrals come from the Mittag-Leffler closed
+    form where its proven bound meets quad_tol_rel in every row, with the
+    rounding of its log form added to the bound; else from one exp-sinh
+    run over their shared nodes.  Either way the same log-form assembly
+    turns each integral into U(n)."""
     params = WeightParams(alpha, m)
+    n = np.arange(n0, n0 + _U_BLOCK, dtype=float)
+    log_int, rel, rounding = _ml_inverse_moments(
+        params, beta, (2.0 * n + 2.0) / m, cache.series_tol)
+    if np.all(rel <= cache.quad_tol_rel):
+        rel = rel + rounding
+        sign, converged = 1.0, np.ones(_U_BLOCK, dtype=bool)
+    else:
+        g = cache.inv_kernel_symbol(alpha, m)
+        (log_int, sign, rel, converged), _ = integrate_radial_log_powers(
+            g, beta, m, 2.0 * n + 1.0, tol_rel=cache.quad_tol_rel,
+            max_levels=cache.quad_max_levels)
     # log Gamma((2n+2)/m) recovered from the moment table entries
     log_s = moment_table(params).log_moments(n0 + _U_BLOCK)[n0:]
     lg_gamma = log_s + (2.0 * n / m) * params.log_alpha
     log_pow = (4.0 * n / m) * params.log_alpha
     log_u = _LOG_2PI + log_pow - lg_gamma + log_int
-    # the quadrature's rel, plus the rounding of this log sum and of the
+    # the integral's rel, plus the rounding of this log sum and of the
     # terms it is built from, one eps of each operand's size
     rel_u = rel + _EPS * (_LOG_2PI + np.abs(log_pow) + np.abs(log_s)
                           + np.abs(lg_gamma) + np.abs(log_int)

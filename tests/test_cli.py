@@ -287,13 +287,13 @@ class TestCliCommands:
 
     def test_nonconvergence_with_overflowing_partial(self, capsys):
         # an unconverged U(n) whose partial value overflows still exits 3:
-        # at 6 levels the series reaches U(836), which has not converged
-        rc = main(["defect", "--m", "4", "--alpha", "1.075990301847395",
-                   "--beta", "0.020672902749768567", "--delta", "0.004",
-                   "--quad-max-levels", "6"])
+        # at 5 levels the series reaches U(53), which has not converged
+        # (its block, short of the closed form, takes the quadrature)
+        rc = main(["defect", "--m", "0.5", "--alpha", "1", "--beta", "0.01",
+                   "--delta", "0.004", "--quad-max-levels", "5"])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "non-convergence" in err and "n=836)" in err
+        assert "non-convergence" in err and "n=53)" in err
 
     def test_kernel_log_scale_output(self, capsys):
         # value overflows linear doubles; the log form stays exact

@@ -1,5 +1,6 @@
 """Nested transforms, commutator defects, and the certification probes."""
 
+import decimal
 import math
 import threading
 import time
@@ -8,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fockberezin import commutativity, quadrature
+from fockberezin import commutativity, quadrature, special
 from fockberezin import (NonConvergenceError, UCache, asymptotic_slopes,
                          defect, derivative_identity_check, lemma1_witness,
                          nested_at_zero, nested_by_composition,
@@ -112,11 +113,11 @@ class TestUFunction:
 
     def test_nonconvergence_partial_overflows_to_inf(self):
         # the unconverged integral's partial value exceeds float range; it
-        # is reported as inf, not raised as an OverflowError (7 levels
-        # leave 59 of the 64 rows of this block unconverged)
+        # is reported as inf, not raised as an OverflowError (5 levels
+        # leave the rows 53-63 of this block unconverged; its low rows keep
+        # it on the quadrature, short of the closed form)
         with pytest.raises(NonConvergenceError) as ei:
-            u_function(1.075990301847395, 0.020672902749768567, 4.0, 2240,
-                       cache=UCache(quad_max_levels=7))
+            u_function(1.0, 0.01, 0.5, 53, cache=UCache(quad_max_levels=5))
         assert ei.value.partial == math.inf
 
 
@@ -142,7 +143,10 @@ class TestULadder:
         # (1e6, 1e-3, n = 490) at r^2 = 1e-3) log S comes from the
         # Mittag-Leffler branch, a value, not a bound, and the rows certify.
         # The last four rows converge on their rounding floor, above
-        # tol_rel, whatever the size of their integral.  The closed form is
+        # tol_rel, whatever the size of their integral.  The blocks of
+        # n = 184 and of every case from (1e3, 1, 400) on lie past the
+        # switch, so their rows come from the library's closed form
+        # (TestUClosedForm), not from the exp-sinh rule.  The closed form is
         # taken in mpmath: in doubles it rounds at about eps 2n |log alpha|.
         cases = [(alpha, beta, n) for alpha, beta in ((100.0, 1.0), (1.0, 0.01))
                  for n in (0, 31, 63, 100, 184)]
@@ -173,19 +177,19 @@ class TestULadder:
             assert backward.u(*args, n) == filled.u(*args, n), n
 
     def test_unconverged_row_raises_only_when_asked(self):
-        # at 7 levels, 59 rows of the block of 2240 stay unconverged and 5,
-        # 2265 among them, converge
-        args = (1.075990301847395, 0.020672902749768567, 4.0)
-        assert 2241 // _U_BLOCK == 2265 // _U_BLOCK
-        cache = UCache(quad_max_levels=7)
+        # at 5 levels, the rows 53-63 of the block of 0 stay unconverged
+        # and the other 53, 52 among them, converge
+        args = (1.0, 0.01, 0.5)
+        assert 54 // _U_BLOCK == 52 // _U_BLOCK
+        cache = UCache(quad_max_levels=5)
         for _ in range(2):
             with pytest.raises(NonConvergenceError) as ei:
-                cache.u(*args, 2241)
+                cache.u(*args, 54)
             assert ei.value.partial == math.inf
             assert ei.value.error_bound == math.inf
-            assert f"m={args[2]},n=2241)" in str(ei.value)
-        u = cache.u(*args, 2265)
-        assert u.n == 2265 and u.value > 0.0 and u.rel_error < 1e-11
+            assert f"m={args[2]},n=54)" in str(ei.value)
+        u = cache.u(*args, 52)
+        assert u.n == 52 and u.value > 0.0 and u.rel_error < 1e-11
 
     def test_threads_compute_a_block_once(self, monkeypatch):
         computed = []
@@ -212,6 +216,174 @@ class TestULadder:
             t.join()
         assert computed == [0]
         assert len(got) == 2 and got[0] == got[1]
+
+
+def _first_closed_block(alpha, beta, m, cache):
+    """n0 of the first U block whose every row meets quad_tol_rel under the
+    proven bound of the Mittag-Leffler closed form."""
+    params = WeightParams(alpha, m)
+    for n0 in range(0, 100 * _U_BLOCK, _U_BLOCK):
+        n = np.arange(n0, n0 + _U_BLOCK, dtype=float)
+        _, rel, _ = special._ml_inverse_moments(params, beta, (2.0 * n + 2.0) / m,
+                                                cache.series_tol)
+        if rel.max() <= cache.quad_tol_rel:
+            return n0
+    raise AssertionError(f"no closed block below n = {n0}")
+
+
+def _count_de_runs(monkeypatch):
+    """A list that grows by one on every exp-sinh run (_DESum.run)."""
+    runs = []
+    run = quadrature._DESum.run
+
+    def counted(self):
+        runs.append(self.q.size)
+        return run(self)
+
+    monkeypatch.setattr(quadrature._DESum, "run", counted)
+    return runs
+
+
+def _log_u_mpmath(alpha, beta, m, ns):
+    """log U(n) for each n in ns at 40 digits, independent of the library:
+    S(t) = sum_k alpha^(2k/m) t^k / Gamma((2k+2)/m) summed term by term (in
+    decimal, to 1e-44 of the sum past its peak), and the radial integral
+    in u = (alpha+beta) r^m by composite 24-point Gauss-Legendre, panels
+    6 sqrt(s) wide, over the range where u^(s-1) e^-u is within e^-50 of
+    its peak.  (Halving the panels moves the logs by below 1e-22.)"""
+    ctx = decimal.Context(prec=45)
+    with mpmath.workdps(40):
+        a, b, mm = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(m)
+        coef = []
+
+        def inv_s(t):
+            td = ctx.create_decimal(mpmath.nstr(t, 45))
+            tot = prev = decimal.Decimal(0)
+            tk, k = decimal.Decimal(1), 0
+            while True:
+                if k == len(coef):
+                    c = mpmath.exp(2 * k / mm * mpmath.log(a)
+                                   - mpmath.loggamma((2 * k + 2) / mm))
+                    coef.append(ctx.create_decimal(mpmath.nstr(c, 45)))
+                term = ctx.multiply(coef[k], tk)
+                tot = ctx.add(tot, term)
+                if k > 10 and term < prev and term < tot * decimal.Decimal("1e-44"):
+                    return 1 / mpmath.mpf(str(tot))
+                prev = term
+                tk = ctx.multiply(tk, td)
+                k += 1
+
+        s_lo, s_hi = ((2 * n + 4) / mm - 1 for n in (min(ns), max(ns)))
+
+        def depth(u, s):   # log of u^(s-1) e^-u below its peak, plus 50
+            return (s - 1) * mpmath.log(u / (s - 1)) - (u - s + 1) + 50
+
+        lo = max(mpmath.findroot(lambda u: depth(u, s_lo), s_lo * 0.3), 0)
+        hi = mpmath.findroot(lambda u: depth(u, s_hi), s_hi * 3)
+        panels = int(mpmath.ceil((hi - lo) / (6 * mpmath.sqrt(s_lo))))
+        rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(
+            4, mpmath.mp.prec)
+        nodes = []
+        for p in range(panels):
+            left = lo + p * (hi - lo) / panels
+            half = (hi - lo) / panels / 2
+            nodes += [(left + half * (1 + x), half * w) for x, w in rule]
+        vals = [w * inv_s((u / (a + b)) ** (2 / mm)) * mpmath.exp(-b * u / (a + b))
+                for u, w in nodes]
+        out = []
+        for n in ns:
+            q = (2 * n + 2) / mm
+            integral = mpmath.fsum(v * u ** (q - 1) for (u, _), v in zip(nodes, vals))
+            out.append(mpmath.log(2 * mpmath.pi) + 4 * n / mm * mpmath.log(a)
+                       - mpmath.loggamma(q) + mpmath.log(integral / (mm * (a + b) ** q)))
+        return out
+
+
+def _exact_closed_bound(alpha, beta, m, ns, tol):
+    """The closed form's bound b/(1-b) + (L_true + L_model)/J for each n,
+    with the incomplete gamma functions from mpmath, not their bound."""
+    a = 2.0 / m
+    x_sw = special._ml_switch(m, tol)
+    _, ks, coef = special._ml_contour(m)
+    b = special._ml_rel_bound(a, ks, coef, x_sw)
+    with mpmath.workdps(30):
+        al, be = mpmath.mpf(alpha), mpmath.mpf(beta)
+        out = []
+        for n in ns:
+            q = mpmath.mpf(2 * n + 2) / m
+            s = q + a - 1
+            pref = a / m * al ** (a - 1) * (al + be) ** -s
+            j = pref * mpmath.gamma(s)
+            l_true = (mpmath.gamma(a) * be ** -q
+                      * mpmath.gammainc(q, 0, be * x_sw / al) / m)
+            l_model = pref * mpmath.gammainc(s, 0, (al + be) * x_sw / al)
+            out.append(float(b / (1 - b) + (l_true + l_model) / j))
+        return out
+
+
+class TestUClosedForm:
+    """Past the Mittag-Leffler switch a whole U block is a Gamma ratio,
+    taken with no exp-sinh run wherever its proven bound meets
+    quad_tol_rel in every row."""
+
+    def test_closed_rows_against_mpmath(self, monkeypatch):
+        """The true error of the first and last row of the first closed
+        block is within the row's rel_error, at m = 0.5, 1, 3, 4, 10."""
+        runs = _count_de_runs(monkeypatch)
+        for m, alpha, beta in ((0.5, 3.0, 1.0), (1.0, 2.0, 1.0), (3.0, 1.0, 0.5),
+                               (4.0, 1.0, 1.0), (10.0, 1.0, 0.2)):
+            cache = UCache()
+            n0 = _first_closed_block(alpha, beta, m, cache)
+            ns = (n0, n0 + _U_BLOCK - 1)
+            got = [cache.u(alpha, beta, m, n) for n in ns]
+            want = _log_u_mpmath(alpha, beta, m, ns)
+            for u, w in zip(got, want):
+                with mpmath.workdps(40):
+                    err = float(abs(mpmath.expm1(mpmath.mpf(u.log_value) - w)))
+                assert err <= u.rel_error < 1e-11, (m, alpha, beta, u.n)
+        assert runs == []
+
+    def test_closed_form_against_quadrature(self, monkeypatch):
+        """On 20 seeded points, the closed block and a forced exp-sinh run
+        agree within the sum of their bounds.  The closed block makes no
+        exp-sinh run and the block below it exactly one; at the closed
+        block the exact bound (the incomplete gammas from mpmath) meets
+        quad_tol_rel too, so the switch cannot widen past what the bound
+        proves."""
+        rng = np.random.default_rng(18)
+        ms = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0)
+        runs = _count_de_runs(monkeypatch)
+        for i in range(20):
+            m = ms[i % len(ms)]
+            alpha = 10.0 ** rng.uniform(-3.0, 6.0)
+            beta = alpha * 10.0 ** rng.uniform(-2.0, 0.5)
+            cache = UCache()
+            n0 = _first_closed_block(alpha, beta, m, cache)
+            assert n0 > 0
+            for start, want_runs in ((n0 - _U_BLOCK, [_U_BLOCK]), (n0, [])):
+                runs.clear()
+                cache.block(alpha, beta, m, start)
+                assert runs == want_runs, (m, alpha, beta, start)
+            n = np.arange(n0, n0 + _U_BLOCK, dtype=float)
+            assert max(_exact_closed_bound(alpha, beta, m, n.tolist(),
+                                           cache.series_tol)) <= cache.quad_tol_rel
+            log_j, rel, rounding = special._ml_inverse_moments(
+                WeightParams(alpha, m), beta, (2.0 * n + 2.0) / m, cache.series_tol)
+            (log_q, _, rel_q, converged), _ = quadrature.integrate_radial_log_powers(
+                cache.inv_kernel_symbol(alpha, m), beta, m, 2.0 * n + 1.0)
+            assert converged.all()
+            gap = np.abs(np.expm1(log_q - log_j))
+            assert np.all(gap <= rel + rounding + rel_q), (m, alpha, beta, n0)
+
+    def test_closed_block_does_not_depend_on_quad_levels(self):
+        """A closed block reads no quadrature setting: the row at n = 2240
+        of (1.075990301847395, 0.020672902749768567, m=4), which 7 levels
+        left unconverged on the exp-sinh route, certifies at 3 levels and
+        at 12 with the same bits."""
+        args = (1.075990301847395, 0.020672902749768567, 4.0)
+        u3 = UCache(quad_max_levels=3).u(*args, 2240)
+        assert u3 == UCache().u(*args, 2240)
+        assert u3.value > 0.0 and u3.rel_error < 1e-10
 
 
 class TestRoundingFloor:
@@ -394,8 +566,7 @@ class TestResultTypes:
                                       res.evaluations, res.converged)] == [
                 float, float, int, bool]
         with pytest.raises(NonConvergenceError) as ei:
-            u_function(1.075990301847395, 0.020672902749768567, 4.0, 2240,
-                       cache=UCache(quad_max_levels=7))
+            u_function(1.0, 0.01, 0.5, 53, cache=UCache(quad_max_levels=5))
         assert type(ei.value.partial) is float
         assert type(ei.value.error_bound) is float
 

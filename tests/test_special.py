@@ -553,6 +553,25 @@ class TestMittagLefflerBranch:
                     m, x)
                 assert rel <= special._ml_rel_bound(a, ks, coef, x), (m, x)
 
+    def test_lower_gamma_bound_against_mpmath(self):
+        """_log_lower_gamma_bound is at least log gamma(s, y) from mpmath,
+        within log 2 of it for y <= (s+1)/2, finite up to y = s + 1 and
+        inf from there on."""
+        import mpmath
+        for s in (0.3, 1.0, 2.5, 40.0, 700.0, 4500.0):
+            fracs = np.array([1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6])
+            y = fracs * (s + 1.0)
+            got = special._log_lower_gamma_bound(np.full(y.size, s), y)
+            with mpmath.workdps(30):
+                want = np.array([float(mpmath.log(mpmath.gammainc(s, 0, v)))
+                                 for v in y])
+            assert np.all(got >= want - 4.0 * _EPS * np.abs(want)), s
+            near = fracs <= 0.5
+            assert np.all(got[near] - want[near] <= math.log(2.0)), s
+            past = special._log_lower_gamma_bound(
+                np.full(3, s), np.array([s + 1.0, s + 1.5, 10.0 * s + 20.0]))
+            assert np.all(past == math.inf), s
+
     def test_m2_is_alpha_t(self):
         """At m = 2, S(t) = e^(alpha t): past the switch the branch gives
         alpha t, bit for bit."""
