@@ -247,8 +247,9 @@ def _u_compute(alpha, beta, m, n0, cache: UCache) -> UBlock:
     turns each integral into U(n)."""
     params = WeightParams(alpha, m)
     n = np.arange(n0, n0 + _U_BLOCK, dtype=float)
-    log_int, rel, rounding = _ml_inverse_moments(
-        params, beta, (2.0 * n + 2.0) / m, cache.series_tol)
+    q = (2.0 * n + 2.0) / m
+    log_int, rel, rounding = _ml_inverse_moments(params, beta, q,
+                                                 cache.series_tol)
     if np.all(rel <= cache.quad_tol_rel):
         rel = rel + rounding
         sign, converged = 1.0, np.ones(_U_BLOCK, dtype=bool)
@@ -263,10 +264,13 @@ def _u_compute(alpha, beta, m, n0, cache: UCache) -> UBlock:
     log_pow = (4.0 * n / m) * params.log_alpha
     log_u = _LOG_2PI + log_pow - lg_gamma + log_int
     # the integral's rel, plus the rounding of this log sum and of the
-    # terms it is built from, one eps of each operand's size
+    # terms it is built from, one eps of each operand's size, plus the
+    # error of the table's _log_gamma_array(q), tens of eps below q = 10,
+    # counted as _ml_inverse_moments counts its own: (2 (|log Gamma(q)| +
+    # q) + 64) eps
     rel_u = rel + _EPS * (_LOG_2PI + np.abs(log_pow) + np.abs(log_s)
-                          + np.abs(lg_gamma) + np.abs(log_int)
-                          + np.abs(log_u))
+                          + 3.0 * np.abs(lg_gamma) + 2.0 * q + 64.0
+                          + np.abs(log_int) + np.abs(log_u))
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.exp(log_u)
         partial = np.exp(log_int) * sign

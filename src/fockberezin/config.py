@@ -25,7 +25,8 @@ class RunConfig:
         for name in ("tol_series", "tol_quad_rel", "defect_kappa"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} must be > 0")
-        # the exp-sinh stop rule first reads at the level after the first
+        # the exp-sinh stop rule first reads at the level after the first,
+        # whose odd nodes share the first level's call of g
         for name, least in (("series_max_terms", 1),
                             ("quad_max_levels", _FIRST_LEVEL + 1)):
             if getattr(self, name) < least:

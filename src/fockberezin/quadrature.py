@@ -14,7 +14,8 @@ One engine (_DESum) runs every exp-sinh integral and returns every error
 estimate, rounding floors included, and inf for a power that does not
 converge.  It integrates a ladder of powers at once: the nodes do not
 depend on the power, so g is evaluated once per level for all of them (the
-U(n) of one weight pair are such a ladder).
+U(n) of one weight pair are such a ladder), and once for the first two
+levels of a run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ DEFAULT_MAX_LEVELS = 12
 _A = math.pi / 2.0     # exp-sinh steepness
 _H0 = 0.5              # level 0's mesh in the transformed variable: level
                        # L has h = _H0 / 2^L, and max_levels counts from it
-_FIRST_LEVEL = 2       # a run's first sum is on h = 1/8, all its nodes at once
+_FIRST_LEVEL = 2       # a run's first sum is on h = 1/8, all its nodes in the
+                       # first call of g, with level 3's odd nodes
 _LOG_WINDOW = 760.0    # keep nodes whose integrand is within e^-760 of the peak
 _LOG_WINDOW_DECAY = 100.0   # the same, for a symbol that declares its decay
 _EPS = float(np.finfo(float).eps)
@@ -130,14 +132,16 @@ class _DESum:
     operations over the rows still refining, the same for one row as for a
     block; a row stops refining once it converges.
 
-    A run starts at level _FIRST_LEVEL (h = _H0/4 = 1/8): its first pass
-    evaluates g once on every node k/8 inside the windows, the nodes of
-    levels 0, 1 and 2 together: no stop rule can read before level 3, the
-    first level with a predecessor, so passes at those levels would only
-    cost calls of g.  Each
-    later level then evaluates g on its odd nodes only.  A run with
-    max_levels <= _FIRST_LEVEL makes one pass, at h = _H0/2^max_levels, and
-    stops unconverged.
+    A run starts at level _FIRST_LEVEL (h = _H0/4 = 1/8), on every node k/8
+    inside the windows, the nodes of levels 0, 1 and 2 together: no stop
+    rule can read before level 3, the first level with a predecessor, so
+    passes at those levels would only cost calls of g.  The same call of g
+    takes level 3's odd nodes k/16 too, since every run with max_levels >
+    _FIRST_LEVEL reaches level 3; each of the two levels then sums its own
+    slice of the call, as if it had made its own.  Each later level
+    evaluates g on its odd nodes only.  A run with max_levels <=
+    _FIRST_LEVEL makes one pass, at h = _H0/2^max_levels, and stops
+    unconverged.
 
     When g itself decays like exp(-decay r^m), the integrand of row j
     follows the model u^(q_j - 1) e^-(1 + decay/c) u, whose mass sits near
@@ -219,6 +223,16 @@ class _DESum:
         return np.maximum(self.tol_rel * np.abs(t_sum),
                           _FLOOR_ULPS * _EPS * e_sum)
 
+    @staticmethod
+    def _level_nodes(bounds, level, every):
+        """The k of level's nodes k h inside the rows' windows: every one,
+        or the odd k only."""
+        lo, hi = np.minimum.reduce(bounds[level], axis=1).tolist()
+        lo, hi = int(lo), -int(hi)
+        if every:
+            return np.arange(lo, hi + 1)
+        return np.arange(lo + 1 - lo % 2, hi + 1, 2)
+
     def run(self):
         """Arrays over the rows: t_sum, err, log_scale and converged.
 
@@ -241,16 +255,25 @@ class _DESum:
         out = state.copy()   # each row's state when it stopped
         new = np.empty((3, n_rows))
         level = first = min(_FIRST_LEVEL, self.max_levels)
+        ahead = None   # the next level's terms, from the first call of g
         while level <= self.max_levels and row.size:
             sums, scale, err = state[:3], state[3], state[4]
             h = _H0 / 2.0 ** level
-            lo, hi = np.minimum.reduce(bounds[level], axis=1).tolist()
-            lo, hi = int(lo), -int(hi)
-            if level == first:
-                k = np.arange(lo, hi + 1)
+            k = self._level_nodes(bounds, level, level == first)
+            if ahead is not None:
+                parts, ahead = ahead, None
+            elif level == first < self.max_levels:
+                # no row stops at the first level, so the next level's odd
+                # nodes join its call of g; each node's terms depend on its
+                # own t alone, so the split gives both levels their bits
+                k_next = self._level_nodes(bounds, level + 1, False)
+                both = self._scaled_terms(
+                    np.concatenate((k * h, k_next * (0.5 * h))), q)
+                parts = [a[..., :k.size] for a in both]
+                ahead = [a[..., k.size:] for a in both]
             else:
-                k = np.arange(lo + 1 - lo % 2, hi + 1, 2)   # the odd k
-            sgn, log_f, abs_x, rest = self._scaled_terms(k * h, q)
+                parts = self._scaled_terms(k * h, q)
+            sgn, log_f, abs_x, rest = parts
             if row.size > 1:   # a lone row's window is the whole range
                 outside = ((k < bounds[level, 0, :, None])
                            | (-k < bounds[level, 1, :, None]))

@@ -9,11 +9,13 @@ import pytest
 from fockberezin import (ExpSymbol, PlanarSymbol, RadialSymbol, WeightParams,
                          berezin_at_zero, berezin_exp_radial,
                          berezin_exp_radial_grid, berezin_general)
+from fockberezin import berezin
 from fockberezin._reference import BEREZIN_EXP_M4_A1_D1_R1
 from fockberezin.berezin import _KernelWeightedAverage
 from fockberezin.commutativity import _make_inv_kernel_symbol
 from fockberezin.quadrature import unit_symbol
-from fockberezin.special import DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL
+from fockberezin.special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL,
+                                 CircleSeries)
 
 
 class TestSymbols:
@@ -202,6 +204,23 @@ class TestGeneral:
                               max_levels=1)
         assert not res.converged
         assert res.abs_error_estimate == math.inf
+
+    def test_level_3_point_builds_one_circle_series(self, monkeypatch):
+        # the exp-sinh run's first call of g takes levels 2 and 3, and each
+        # call of g builds one CircleSeries; this point converges at level 3
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return CircleSeries(*args, **kwargs)
+
+        monkeypatch.setattr(berezin, "CircleSeries", counted)
+        res = berezin_general(WeightParams(1.0, 2.0), ExpSymbol(1.0), 0.5,
+                              tol_rel=1e-10)
+        assert res.converged and len(built) == 1
+        # B f_delta at m = 2: alpha/(alpha + delta) e^(-alpha delta |z|^2
+        # / (alpha + delta))
+        assert res.value == pytest.approx(0.5 * math.exp(-0.125), rel=1e-9)
 
     @pytest.mark.parametrize("bad", [math.nan, 5.0])
     @pytest.mark.parametrize("kind", [RadialSymbol, PlanarSymbol])

@@ -434,6 +434,35 @@ class TestRoundingFloor:
         assert points() == got
 
 
+class TestULogGammaRounding:
+    """A U row's rel_error counts the error of log Gamma((2n+2)/m), which
+    the moment table takes from _log_gamma_array: below x = 10 that errs
+    by tens of eps (23 eps at x = 0.2), far more than one eps of its size."""
+
+    @pytest.mark.parametrize("m", [3.0, 4.0, 6.0, 10.0])
+    def test_counts_the_log_gamma_error(self, monkeypatch, m):
+        quad = []
+
+        def recorded(*args, **kwargs):
+            quad.append(quadrature.integrate_radial_log_powers(*args, **kwargs))
+            return quad[-1]
+
+        monkeypatch.setattr(commutativity, "integrate_radial_log_powers",
+                            recorded)
+        blk = UCache().block(1.0, 1.0, m, 0)
+        assert len(quad) == 1   # the block takes the exp-sinh run
+        (_, _, rel, _), _ = quad[0]
+        # at alpha = 1 the table's log s_n is log Gamma(q) itself
+        lg_gamma = special.moment_table(WeightParams(1.0, m)).log_moments(
+            _U_BLOCK)
+        with mpmath.workdps(30):
+            err = [float(abs(mpmath.loggamma(mpmath.mpf(2 * n + 2) / m)
+                             - mpmath.mpf(v)))
+                   for n, v in enumerate(lg_gamma.tolist())]
+        assert max(err) > 4.0 * special._EPS   # several eps, not one
+        assert np.all(blk.rel_error - rel >= err), m
+
+
 class TestNested:
     def test_m2_closed_form(self, cache):
         nv = nested_at_zero(1.0, 2.0, 2.0, 1.0, cache=cache)

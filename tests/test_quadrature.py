@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fockberezin import (RadialSymbol, UCache, integrate_radial,
+from fockberezin import (ExpSymbol, PlanarSymbol, RadialSymbol, UCache,
+                         WeightParams, berezin_general, integrate_radial,
                          integrate_radial_log, radial_moment, unit_symbol)
 from fockberezin.quadrature import (_A, _EPS, _DESum,
                                     integrate_radial_log_powers)
@@ -174,35 +175,60 @@ def _counting_symbol():
     return RadialSymbol(lambda r: 1.0, 1.0, eval_array=ones), calls
 
 
+def _level_k(t, level):
+    """The k of nodes t = k h at a level, h = 1/2^(level + 1)."""
+    scaled = np.ldexp(t, level + 1)
+    k = np.rint(scaled)
+    assert np.allclose(scaled, k, rtol=0.0, atol=1e-9), level
+    return k.tolist()
+
+
 class TestFirstLevel:
     """A run makes its first sum on h = 1/8, every node of the window in
-    one call of g, and reads the stop rule from level 3 on."""
+    its first call of g, which also takes the odd nodes of level 3 (h =
+    1/16); it reads the stop rule from level 3 on."""
 
-    def test_first_call_takes_every_node_then_odd_nodes(self):
+    @staticmethod
+    def _window_nodes(level, every):
+        """The k of level's nodes k h inside the window of power 1 at c = 1
+        and m = 2: every one, or the odd k only."""
+        t_lo, neg_t_hi = _DESum(None, 1.0, 2.0, [1.0], 1e-12, 12,
+                                0.0).window[:, 0]
+        lo = math.ceil(math.ldexp(t_lo, level + 1))
+        hi = math.floor(math.ldexp(-neg_t_hi, level + 1))
+        k = np.arange(lo, hi + 1)
+        return (k if every else k[k % 2 == 1]).tolist()
+
+    def _assert_first_call(self, t):
+        every, odd = self._window_nodes(2, True), self._window_nodes(3, False)
+        assert t.size == len(every) + len(odd)
+        assert _level_k(t[:len(every)], 2) == every
+        assert _level_k(t[len(every):], 3) == odd
+
+    def test_first_call_takes_levels_2_and_3_then_odd_nodes(self):
         g, calls = _counting_symbol()
         res = integrate_radial(g, 1.0, 2.0, 1.0)
         assert res.converged and len(calls) >= 2
-        t_lo, neg_t_hi = _DESum(None, 1.0, 2.0, [1.0], 1e-12, 12,
-                                0.0).window[:, 0]
-        for level, t in enumerate(calls, start=2):
-            # the nodes k h of the level, h = 1/2^(level + 1)
-            scaled = np.ldexp(t, level + 1)
-            k = np.rint(scaled)
-            assert np.allclose(scaled, k, rtol=0.0, atol=1e-9), level
-            lo = math.ceil(math.ldexp(t_lo, level + 1))
-            hi = math.floor(math.ldexp(-neg_t_hi, level + 1))
-            want = np.arange(lo, hi + 1)
-            if level > 2:
-                want = want[want % 2 == 1]
-            assert k.tolist() == want.tolist(), level
+        self._assert_first_call(calls[0])
+        for level, t in enumerate(calls[1:], start=4):
+            assert _level_k(t, level) == self._window_nodes(level, False)
         assert res.evaluations == sum(t.size for t in calls)
 
-    def test_loose_tolerance_stops_after_two_calls(self):
-        # levels 2 and 3: the first sum alone can never converge
+    def test_loose_tolerance_stops_after_one_call(self):
+        # levels 2 and 3 from one call: the first sum alone can never
+        # converge, the second can
         g, calls = _counting_symbol()
         res = integrate_radial(g, 1.0, 2.0, 1.0, tol_rel=1e-2)
-        assert res.converged and len(calls) == 2
+        assert res.converged and len(calls) == 1
         assert res.value == pytest.approx(0.5, rel=1e-2)
+
+    def test_max_levels_3_makes_one_call(self):
+        g, calls = _counting_symbol()
+        res = integrate_radial(g, 1.0, 2.0, 1.0, max_levels=3)
+        assert len(calls) == 1
+        self._assert_first_call(calls[0])
+        assert res.evaluations == calls[0].size
+        assert not res.converged and res.abs_error_estimate == math.inf
 
     @pytest.mark.parametrize("max_levels", [1, 2])
     def test_below_level_3_is_unconverged(self, max_levels):
@@ -212,6 +238,52 @@ class TestFirstLevel:
         assert not res.converged and len(calls) == 1
         assert res.abs_error_estimate == math.inf
         assert res.value == pytest.approx(0.5, rel=1e-2)
+
+
+class TestFirstCallBits:
+    """Outputs recorded when levels 2 and 3 each made their own call of g.
+    One call for both keeps every bit: each node's terms depend on its own
+    radius alone, never on the other nodes of its call."""
+
+    def test_integrate_radial(self):
+        res = integrate_radial(unit_symbol(), 1.0, 2.0, 1.0)
+        assert (res.value.hex(), res.abs_error_estimate.hex(),
+                res.evaluations) == ("0x1.0000000000001p-1",
+                                     "0x1.0ab1556b4ff98p-49", 289)
+
+    def test_u_block(self):
+        # this block takes the exp-sinh run: its low rows lie short of the
+        # Mittag-Leffler closed form
+        n = np.arange(64.0)
+        (log_int, _, rel, _), evals = integrate_radial_log_powers(
+            UCache().inv_kernel_symbol(1.0, 4.0), 0.5, 4.0, 2.0 * n + 1.0)
+        blk = UCache().block(1.0, 0.5, 4.0, 0)
+        assert evals == 334
+        # rel_error: the recorded bits, then the rounding of log Gamma
+        # ((2n+2)/m) added to the assembly (TestULogGammaRounding)
+        for i, want in ((0, ("-0x1.0424ebfa46b8bp+0", "0x1.d9ec5eaabee33p-48",
+                             "0x1.487d007b921f1p+0", "0x1.900d5eaa38f4cp-46")),
+                        (31, ("0x1.22c3a0c6b229fp+4", "0x1.cf45eaf7fecedp-47",
+                              "0x1.89325c2c28573p-12", "0x1.2567ce9e3efa4p-44")),
+                        (63, ("0x1.ec2826e2fb230p+5", "0x1.ede6405e18633p-46",
+                              "0x1.ac3c67d2f8cd8p-22", "0x1.40f7cdf3f292ep-43"))):
+            got = (log_int[i], rel[i], blk.value[i], blk.rel_error[i])
+            assert tuple(float(v).hex() for v in got) == want, i
+
+    @pytest.mark.parametrize("planar,want", [
+        (False, ("0x1.1f180d0c4b586p-1", "0x1.778c7836f6b10p-35", 6656)),
+        (True, ("0x1.1f180d0c4b586p-1", "0x1.522f0c5f7483cp-35", 6624))],
+        ids=["radial", "planar"])
+    def test_berezin_general(self, planar, want):
+        f = ExpSymbol(0.7)
+        if planar:
+            f = PlanarSymbol(lambda w: math.exp(-0.7 * abs(w) ** 3), 1.0,
+                             eval_array=lambda w: np.exp(-0.7 * np.abs(w) ** 3))
+        res = berezin_general(WeightParams(1.0, 3.0), f, 0.6 + 0.3j,
+                              tol_rel=1e-10)
+        assert res.converged
+        assert (res.value.hex(), res.abs_error_estimate.hex(),
+                res.evaluations) == want
 
 
 class TestUnconverged:
