@@ -161,8 +161,9 @@ def berezin_exp_radial_grid(params: WeightParams, delta: float, r, *,
     log_contract = (2.0 / m) * (math.log(a) - math.log(a + delta))
     t_base = r * r
     t_star = t_base * math.exp(log_contract)
-    lg_base = log_series_grid(params, t_base, tol=series_tol, max_terms=max_terms)
-    lg_star = log_series_grid(params, t_star, tol=series_tol, max_terms=max_terms)
+    # one grid call for both: each value is independent of its batch
+    lg_base, lg_star = log_series_grid(params, np.stack([t_base, t_star]),
+                                       tol=series_tol, max_terms=max_terms)
     # the transform of 0 <= f_delta <= 1 is itself in [0, 1]; the clip only
     # catches the rounding of the logs when delta is near 0
     return np.minimum(np.exp(log_contract + lg_star - lg_base), 1.0)
@@ -208,10 +209,10 @@ class _KernelWeightedAverage:
     def log_values(self, rho: np.ndarray):
         """Returns (sign, log_abs) arrays of the angular mean at each radius."""
         rho = np.asarray(rho, dtype=float)
-        circles = None
-        if self.abs_z != 0.0:
-            circles = CircleSeries(self.params, self.abs_z * rho,
-                                   tol=self.series_tol, max_terms=self.max_terms)
+        # at z = 0 every radius is 0: each circle's |S|^2 is the constant
+        # |S(0)|^2, and no series is summed
+        circles = CircleSeries(self.params, self.abs_z * rho,
+                               tol=self.series_tol, max_terms=self.max_terms)
         # each radius's mean, scale and diff at the level where it stopped
         out = np.empty((3, rho.size))
         live = np.arange(rho.size)   # the radii still refining
@@ -239,8 +240,7 @@ class _KernelWeightedAverage:
                 out[:, live[done]] = mean[done], scale_log[done], diff[done]
                 keep = ~done
                 live = live[keep]
-                if circles is not None:
-                    circles = circles.select(keep)
+                circles = circles.select(keep)
                 mean, scale_log = mean[keep], scale_log[keep]
                 amean = amean[keep]
         mean, scale_log, diff = out
@@ -256,17 +256,12 @@ class _KernelWeightedAverage:
         k = (np.arange(n) + off) / n
         theta = 2.0 * math.pi * k
         self.point_evals += len(rho) * n
-        if circles is None:
-            # S(0) = 1/Gamma(2/m): the kernel factor is constant, no series
-            scale = np.full(len(rho), -2.0 * self.params.log_gamma_2m)
-            kernel_w = 1.0
-        else:
-            # node k sits at arg zeta = phi - theta_k; a radial symbol takes
-            # phi = 0, since its mean over the nodes is the same at -theta_k
-            phi = self.phi_z if self.planar else 0.0
-            log_abs2 = circles.log_abs2(phi - 2.0 * math.pi * off / n, n)
-            scale = log_abs2.max(axis=1)
-            kernel_w = np.exp(log_abs2 - scale[:, None])
+        # node k sits at arg zeta = phi - theta_k; a radial symbol takes
+        # phi = 0, since its mean over the nodes is the same at -theta_k
+        phi = self.phi_z if self.planar else 0.0
+        log_abs2 = circles.log_abs2(phi - 2.0 * math.pi * off / n, n)
+        scale = log_abs2.max(axis=1)
+        kernel_w = np.exp(log_abs2 - scale[:, None])
         if self.planar:
             w = rho[:, None] * np.exp(1j * theta[None, :])
             fv = self.f.values(w)

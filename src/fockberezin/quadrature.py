@@ -408,8 +408,7 @@ def radial_moment(c: float, m: float, n: int) -> float:
         raise ValueError(f"decay scale c must be positive and finite, got {c!r}")
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError(f"exponent m must be positive and finite, got {m!r}")
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"moment order must be >= 0, got {n}")
+    if not (n >= 0 and float(n).is_integer()):
+        raise ValueError(f"moment order must be an integer >= 0, got {n!r}")
     q = (2.0 * n + 2.0) / m
     return math.log(2.0 * math.pi / m) - q * math.log(c) + log_gamma(q)

@@ -16,20 +16,24 @@ size ~1e5 would lose the low bits that the scaled sum actually needs).
 Every summation, scalar or grid, follows one stop rule: it ends at the first
 n past the peak term where the geometric tail bound |a_n| rho_n / (1 - rho_n),
 with rho_n = |a_{n+1} / a_n|, is at most tol * e^-8 relative to the peak term.
-One walk (_walk) finds the peak and that stop for every summation.  The
-grids sum chunks of entries laid out (entries, rows), with the rows of the
-chunk's largest entry, and test the rule only on the rows from the chunk's
-smallest peak on.
+One walk (_walk) finds the peak and that stop for every summation.  One
+chunk engine, CircleSeries, holds the scaled terms of every grid and every
+circle: it sorts its radii by size and cuts them into chunks laid out
+(radii, rows), with the rows of the chunk's largest radius, and tests the
+rule only on the rows from the chunk's smallest peak on.  The grids sum
+those terms, each radius at its own phase; the circles of the 2-D route
+fold and transform them.
 
 On the positive axis S is the Mittag-Leffler function E_{2/m,2/m}, whose
 leading asymptotic term is exact up to terms exponentially small in the
 continuous peak index x = alpha t^(m/2).  The real grid takes log S from
 that term wherever a proven remainder bound meets the stop rule's own
 threshold (_ml_switch), so every real grid value is a value of log S, not
-a bound.  kernel_series and the complex grids always sum the series, or
-raise NonConvergenceError where it needs more than max_terms terms.  The
-same leading term gives the moments of 1/S against r^p e^(-c r^m) as Gamma
-functions, under a proven bound (_ml_inverse_moments).
+a bound.  kernel_series, the complex grid and the circles always sum the
+series, or raise NonConvergenceError where it needs more than max_terms
+terms.  The same leading term gives the moments of 1/S against
+r^p e^(-c r^m) as Gamma functions, under a proven bound
+(_ml_inverse_moments).
 """
 
 from __future__ import annotations
@@ -225,6 +229,8 @@ def moment_table(params: WeightParams) -> MomentTable:
 
 def stieltjes_moment(params: WeightParams, n: int) -> float:
     """log s_n(alpha, m) = -(2n/m) log alpha + log Gamma(2(n+1)/m), memoized."""
+    if not float(n).is_integer():
+        raise ValueError(f"moment index must be an integer, got {n!r}")
     return moment_table(params).log_moment(int(n))
 
 
@@ -598,93 +604,59 @@ def _ml_inverse_moments(params: WeightParams, c, q, tol):
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation on grids: t >= 0 (the quadrature fast path) and
-# complex zeta (the 2-D Berezin path).
+# Batched evaluation on grids: t >= 0 (the quadrature fast path), complex
+# zeta, and the circles of the 2-D Berezin path, all by one chunk engine
+# (CircleSeries).
 # ---------------------------------------------------------------------------
 
 def log_series_grid(params: WeightParams, t, *, tol=DEFAULT_SERIES_TOL,
                     max_terms=DEFAULT_MAX_TERMS):
-    """log S(t) for an array of t >= 0 (see _grid_log_abs): by the
-    Mittag-Leffler branch from its switch point on, summed below it."""
-    return _grid_log_abs(params, t, float, tol, max_terms)
+    """log S(t) for an array of t >= 0.
+
+    An entry whose continuous peak index x = alpha t^(m/2) reaches
+    _ml_switch(m, tol) gets the log of the Mittag-Leffler leading term
+    (_ml_log), within tol * e^-_STOP_MARGIN relative of S by a proven
+    bound.  Every other entry is summed on the positive axis by the chunk
+    engine (CircleSeries.log_abs), so each value is independent of the
+    batch.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all() or (t < 0.0).any():
+        raise ValueError("grid arguments must be finite and >= 0")
+    with np.errstate(over="ignore"):
+        x = params.alpha * np.power(t, params.m / 2.0)
+    closed = x >= _ml_switch(params.m, tol)
+    out = CircleSeries(params, np.where(closed, 0.0, t).ravel(), tol=tol,
+                       max_terms=max_terms).log_abs()
+    out[closed.ravel()] = _ml_log(params.m, x[closed])
+    return out.reshape(t.shape)
 
 
 def series_abs2_grid(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
                      max_terms=DEFAULT_MAX_TERMS):
-    """log |S(zeta)|^2 for an array of complex zeta (2-D Berezin path).
+    """log |S(zeta)|^2 for an array of complex zeta.
 
-    Accuracy is relative to the largest term, which is the natural scale
-    when the values multiply an exponentially small weight.
+    Each entry's terms are twisted by its own phase and summed directly
+    (CircleSeries.log_abs), with no fold or FFT, so this is an independent
+    reference for CircleSeries.log_abs2.  Accuracy is relative to the
+    largest term, which is the natural scale when the values multiply an
+    exponentially small weight.
     """
-    return 2.0 * _grid_log_abs(params, zeta, complex, tol, max_terms)
+    zeta = np.asarray(zeta, dtype=complex)
+    flat = zeta.ravel()
+    circles = CircleSeries(params, np.abs(flat), tol=tol, max_terms=max_terms)
+    return 2.0 * circles.log_abs(np.angle(flat)).reshape(zeta.shape)
 
 
 _GRID_CHUNK = 256
 _ABS2_FLOOR = (8.0 * _EPS) ** 2  # rounding noise of a scaled complex sum
 
 
-def _grid_log_abs(params, z, dtype, tol, max_terms):
-    """log|S(z)| entry by entry for an array of t >= 0 (dtype float) or of
-    complex zeta, with the single-rescale log-domain summation of
-    kernel_series.
-
-    A real entry whose continuous peak index x = alpha t^(m/2) reaches
-    _ml_switch(m, tol) gets the log of the Mittag-Leffler leading term
-    (_ml_log), within tol * e^-_STOP_MARGIN relative of S by a proven
-    bound.  Every other nonzero entry, and every complex one, is summed in
-    index order (a cumsum along its row of the chunk's terms) up to its own
-    stop under _tail_small, rescaled by its own peak term; a chunk whose
-    largest entry does not stop within max_terms raises
-    NonConvergenceError.  The rows of a chunk come from the walk of its
-    largest entry, so the summed entries are sorted by |z| and cut into
-    chunks of at most _GRID_CHUNK entries, so that entries of about the
-    same size share a chunk's rows.  An entry's row depends only on the
-    entry, so each value is independent of the batch.
-    """
-    z = np.asarray(z, dtype=dtype)
-    if not np.all(np.isfinite(z)) or (dtype is float and np.any(z < 0.0)):
-        raise ValueError("grid arguments must be finite"
-                         + (" and >= 0" if dtype is float else ""))
-    flat = z.ravel()
-    abs_z = np.abs(flat)
-    out = np.empty(abs_z.shape)
-
-    table = moment_table(params)
-    summed = abs_z != 0.0
-    out[~summed] = -table.log_moment(0)
-    if dtype is float:
-        with np.errstate(over="ignore"):
-            x = params.alpha * np.power(abs_z, params.m / 2.0)
-        closed = x >= _ml_switch(params.m, tol)
-        out[closed] = _ml_log(params.m, x[closed])
-        summed &= ~closed
-
-    todo = np.flatnonzero(summed)
-    todo = todo[np.argsort(abs_z[todo], kind="stable")]
-    ln_tol = math.log(tol)
-    for start in range(0, todo.size, _GRID_CHUNK):
-        idx = todo[start: start + _GRID_CHUNK]
-        n, e, peak_log, stop = _chunk_terms(table, np.log(abs_z[idx]), ln_tol,
-                                            max_terms)
-        stop = (np.arange(idx.size), stop)
-        terms = np.exp(e)
-        if dtype is float:
-            log_sum = np.log(np.cumsum(terms, axis=1)[stop])
-        else:
-            terms = terms * np.exp(1j * np.multiply.outer(np.angle(flat[idx]),
-                                                          n))
-            tot = np.cumsum(terms, axis=1)[stop]
-            log_sum = 0.5 * np.log(np.maximum(
-                tot.real * tot.real + tot.imag * tot.imag, _ABS2_FLOOR))
-        out[idx] = peak_log + log_sum
-    return out.reshape(z.shape)
-
-
 def _chunk_terms(table, log_t, ln_tol, max_terms):
     """The scaled exponents of one chunk of entries with log|z| = log_t.
 
     The rows n = 0..n_last run to the stop of the chunk's largest entry.
-    Returns (n, e, peak_log, stop): the rows as floats, shape (rows,);
+    Returns (n, e, peak_log, stop): the row indices, shape (rows,);
     e[j, n] = log|a_n| - peak_log[j], shape (entries, rows), with
     peak_log[j] the log of entry j's peak term; and stop[j], the first row
     where entry j meets _tail_small.  The rule is tested only from the
@@ -696,7 +668,7 @@ def _chunk_terms(table, log_t, ln_tol, max_terms):
     if n_last >= max_terms:
         raise NonConvergenceError(
             f"grid series needs more than {max_terms} terms")
-    n = np.arange(n_last + 1, dtype=float)
+    n = np.arange(n_last + 1)
     e = np.multiply.outer(log_t, n)
     e -= table.log_moments(n_last + 1)
     peak_log = e.max(axis=1)
@@ -714,74 +686,99 @@ def _chunk_terms(table, log_t, ln_tol, max_terms):
 
 
 class CircleSeries:
-    """log|S|^2 on equispaced nodes of circles |zeta| = s, by one FFT each.
+    """The scaled series terms of an array of radii s >= 0: the engine of
+    every grid and every circle.
 
-    On the nodes zeta_k = s e^(i (phase - 2 pi k / N)), k = 0..N-1,
+    The nonzero radii are sorted by size and cut into chunks of at most
+    _GRID_CHUNK, so that radii of about the same size share a chunk's rows,
+    which run to the stop of the chunk's largest radius (_chunk_terms).  A
+    chunk is laid out (radii, rows): each radius's terms a_n s^n, rescaled
+    by its own peak term, are contiguous and zeroed past its own stop under
+    _tail_small, so each radius's values do not depend on its batch mates.
+    A chunk whose largest radius does not stop within max_terms raises
+    NonConvergenceError.  s = 0, where a node radius underflows and on
+    every circle at z = 0, gets the constant log|S(0)| with no series.
+
+    log_abs sums each radius's terms at its own phase, or on the positive
+    axis.  log_abs2 gives log|S|^2 on equispaced nodes of each circle
+    |zeta| = s by one FFT: on zeta_k = s e^(i (phase - 2 pi k / N)),
+    k = 0..N-1,
 
         S(zeta_k) = sum_j c_j e^(-2 pi i j k / N),
         c_j = sum_{n = j mod N} a_n s^n e^(i n phase),
 
     a length-N DFT of the terms twisted by e^(i n phase) and folded mod N.
-    Every node of a circle has the same |zeta|, so the scaled terms, the
-    peak and the stop belong to the radius: they come from the stop rule
-    of the grid engine (_chunk_terms) once, in chunks of _GRID_CHUNK radii
-    and in its (radii, rows) layout, and every call of log_abs2 reuses
-    them.  Rows past a radius's own stop are zeroed, so each circle's
-    values do not depend on its batch mates; select keeps a subset of the
-    circles, and log_abs2 twists, folds and transforms only theirs.
-    Every radius s > 0 is summed, and a chunk whose largest radius does not
-    stop within max_terms raises NonConvergenceError; s = 0, which occurs
-    where a node radius underflows, gets the constant log|S(0)|^2 of the
-    dense grid.  Every |S|^2 is floored at _ABS2_FLOOR times the squared
-    peak term, as on the dense grid.
+    select keeps a subset of the circles, and log_abs2 then twists, folds
+    and transforms only theirs.  Every complex |S|^2 is floored at
+    _ABS2_FLOOR times the squared peak term.
     """
 
     def __init__(self, params: WeightParams, s, *, tol=DEFAULT_SERIES_TOL,
                  max_terms=DEFAULT_MAX_TERMS):
         s = np.asarray(s, dtype=float)
-        if s.ndim != 1 or not np.all(np.isfinite(s)) or np.any(s < 0.0):
-            raise ValueError("circle radii must be a 1-D array, finite and >= 0")
+        if s.ndim != 1:
+            raise ValueError("circle radii must be a 1-D array")
+        todo = np.flatnonzero(s)
+        todo = todo[np.argsort(s[todo], kind="stable")]
+        # sorted, the ends bound every radius: negatives sort first, NaN last
+        if todo.size and not 0.0 < s[todo[0]] <= s[todo[-1]] < math.inf:
+            raise ValueError("circle radii must be finite and >= 0")
         table = moment_table(params)
         self.size = s.size
-        self.zero = np.flatnonzero(s == 0.0)
-        self.zero_log_abs2 = -2.0 * table.log_moment(0)
-        todo = np.flatnonzero(s != 0.0)
+        self.zero_log_abs = -table.log_moment(0)   # log S(0), for s = 0
         ln_tol = math.log(tol)
-        self.chunks = []   # (radius indices, terms (radii, rows), 2 peak_log)
+        self.chunks = []   # (radius indices, terms (radii, rows), peak_log)
         for start in range(0, todo.size, _GRID_CHUNK):
             idx = todo[start: start + _GRID_CHUNK]
             n, e, peak_log, stop = _chunk_terms(table, np.log(s[idx]), ln_tol,
                                                 max_terms)
-            terms = np.exp(e)
-            terms[n > stop[:, None]] = 0.0
-            self.chunks.append((idx, terms, 2.0 * peak_log))
+            # each radius's terms to its own stop, zeros past it
+            terms = np.zeros(e.shape)
+            np.exp(e, out=terms, where=n <= stop[:, None])
+            self.chunks.append((idx, terms, peak_log))
 
     def select(self, keep):
         """The circles where the boolean mask keep is True, in their order."""
         new = copy.copy(self)
         at = np.cumsum(keep) - 1   # each kept circle's index in new
         new.size = int(np.count_nonzero(keep))
-        new.zero = at[self.zero[keep[self.zero]]]
         new.chunks = []
-        for idx, terms, peak_log2 in self.chunks:
+        for idx, terms, peak_log in self.chunks:
             k = keep[idx]
             if k.all():
-                new.chunks.append((at[idx], terms, peak_log2))
+                new.chunks.append((at[idx], terms, peak_log))
             elif k.any():
-                new.chunks.append((at[idx[k]], terms[k], peak_log2[k]))
+                new.chunks.append((at[idx[k]], terms[k], peak_log[k]))
         return new
+
+    def log_abs(self, phase=None):
+        """log|S(s e^(i phase))| for each radius s, phase an array of one
+        angle per radius; log S(s) on the positive axis when phase is None.
+        The terms are summed in index order (np.cumsum; a pairwise sum would
+        change its bits with the chunk's row count)."""
+        out = np.full(self.size, self.zero_log_abs)
+        for idx, terms, peak_log in self.chunks:
+            if phase is None:
+                log_sum = np.log(np.cumsum(terms, axis=1)[:, -1])
+            else:
+                n = np.arange(terms.shape[1])
+                tot = np.cumsum(terms * np.exp(1j * np.multiply.outer(
+                    phase[idx], n)), axis=1)[:, -1]
+                log_sum = 0.5 * np.log(np.maximum(
+                    tot.real * tot.real + tot.imag * tot.imag, _ABS2_FLOOR))
+            out[idx] = peak_log + log_sum
+        return out
 
     def log_abs2(self, phase, n_nodes):
         """log|S(s e^(i (phase - 2 pi k / n_nodes)))|^2, shape (radii, n_nodes)."""
-        out = np.empty((self.size, n_nodes))
-        out[self.zero] = self.zero_log_abs2
-        for idx, terms, peak_log2 in self.chunks:
+        out = np.full((self.size, n_nodes), 2.0 * self.zero_log_abs)
+        for idx, terms, peak_log in self.chunks:
             rows = terms.shape[1]
             twisted = terms * np.exp(1j * (phase * np.arange(rows)))
             folded = twisted[:, :n_nodes]
             for b in range(n_nodes, rows, n_nodes):
                 folded[:, : rows - b] += twisted[:, b: b + n_nodes]
             tot = np.fft.fft(folded, n=n_nodes, axis=1)
-            out[idx] = peak_log2[:, None] + np.log(np.maximum(
+            out[idx] = 2.0 * peak_log[:, None] + np.log(np.maximum(
                 tot.real * tot.real + tot.imag * tot.imag, _ABS2_FLOOR))
         return out

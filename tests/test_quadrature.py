@@ -331,3 +331,7 @@ class TestValidation:
             radial_moment(0.0, 2.0, 0)
         with pytest.raises(ValueError):
             radial_moment(1.0, 2.0, -1)
+        for bad in (1.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                radial_moment(1.0, 2.0, bad)
+        assert radial_moment(2.0, 2.0, 1.0) == radial_moment(2.0, 2.0, 1)

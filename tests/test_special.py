@@ -98,8 +98,13 @@ class TestMoments:
             assert np.all(second >= -1e-9 * np.maximum(np.abs(ls[1:-1]), 1.0))
 
     def test_negative_index(self):
+        p = WeightParams(1.0, 2.0)
         with pytest.raises(ValueError):
-            moment_table(WeightParams(1.0, 2.0)).log_moment(-1)
+            moment_table(p).log_moment(-1)
+        for bad in (-1, 2.7, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                stieltjes_moment(p, bad)
+        assert stieltjes_moment(p, 2.0) == stieltjes_moment(p, 2)
 
     def test_shared_tables_bounded(self):
         rng = np.random.default_rng(5)
@@ -430,7 +435,7 @@ class TestGridEvaluators:
         """_chunk_terms tests the stop rule only from the chunk's smallest
         peak on; every entry must still stop where kernel_series stops.
         Chunks of one octave of peak index over 7 decades, and the chunks
-        that _grid_log_abs cuts from the whole sorted grid, plus entries
+        that CircleSeries cuts from the whole sorted grid, plus entries
         whose series stops at its peak term 0 and runs of entries a few
         ulps apart."""
         rng = np.random.default_rng(29)
@@ -601,13 +606,14 @@ class TestCircleSeries:
 
     def test_batch_independence(self):
         """Each circle's values must not depend on its batch mates: whole,
-        split and single-radius batches agree bit for bit on both
+        split, single-radius and reversed batches agree bit for bit on both
         half-meshes, and so do the live subsets that select keeps.  The
         radii are s = 0, 257 summed ones (one alone in the last chunk of
         the whole batch) and two with log|S| near 900 and 2000.  The
         circles are summed on both sides of the switch of
         the real grid's Mittag-Leffler branch, seven of them within three
-        ulps of it."""
+        ulps of it.  A batch of s = 0 only, as every circle is at z = 0,
+        gives the value of s = 0 in the whole batch."""
         alpha = 1.7
         rng = np.random.default_rng(5)
         for m in (0.5, 1.0, 4.0, 10.0):
@@ -622,6 +628,8 @@ class TestCircleSeries:
                           for x in (s[:7], s[7:100], s[100:])],
                 "single": [special.CircleSeries(p, s[i:i + 1])
                            for i in range(s.size)]}
+            reverse = special.CircleSeries(p, s[::-1])
+            zeros = special.CircleSeries(p, np.zeros(3))
             live = [rng.uniform(size=s.size) < 0.3, s > s[200], s == s[-1],
                     np.zeros(s.size, dtype=bool)]
             for off in (0.0, 0.5):
@@ -633,6 +641,12 @@ class TestCircleSeries:
                     assert np.all(np.isfinite(whole))
                     assert np.array_equal(whole, got["split"]), (m, off, n_nodes)
                     assert np.array_equal(whole, got["single"]), (m, off, n_nodes)
+                    assert np.array_equal(whole, self._nodes(
+                        reverse, 0.4, off, n_nodes)[::-1]), (m, off, n_nodes)
+                    for c in (zeros, zeros.select(np.array([True, False, True]))):
+                        at_zero = self._nodes(c, 0.4, off, n_nodes)
+                        assert np.array_equal(at_zero, np.repeat(
+                            whole[:1], c.size, axis=0)), (m, off, n_nodes)
                     # live subsets, picked from the whole batch and, in two
                     # steps, from a split one, as the angular loop drops
                     # the circles that have converged
