@@ -93,8 +93,7 @@ class ExpSymbol:
 def _normalization_log(params: WeightParams) -> float:
     """log of m alpha^{2/m} / Gamma(2/m): the weight normalization once the
     angular 2 pi has been absorbed."""
-    return (math.log(params.m) + (2.0 / params.m) * params.log_alpha
-            - params.log_gamma_2m)
+    return math.log(params.m) + params.log_dilation - params.log_gamma_2m
 
 
 def berezin_at_zero(params: WeightParams, f, *, tol_rel=DEFAULT_QUAD_TOL_REL,

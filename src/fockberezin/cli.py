@@ -159,21 +159,17 @@ def cmd_scan(args, cfg):
     for m in args.m:
         _warn_domain(WeightParams(args.alpha, m), WeightParams(args.beta, m))
     rows = compute_scan(args.m, args.alpha, args.beta, args.deltas, cfg)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rows_to_csv(rows))
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"wrote {len(rows)} rows to {args.out}")
+    outputs = [(args.out, rows_to_csv, f"wrote {len(rows)} rows to {args.out}")]
     if args.svg:
+        outputs.append((args.svg, rows_to_svg, f"wrote chart to {args.svg}"))
+    for path, render, note in outputs:
         try:
-            with open(args.svg, "w", encoding="utf-8", newline="") as fh:
-                fh.write(rows_to_svg(rows))
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(render(rows))
         except OSError as exc:
-            print(f"error: cannot write {args.svg}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        print(f"wrote chart to {args.svg}")
+        print(note)
     return EXIT_OK
 
 

@@ -258,17 +258,15 @@ def _u_compute(alpha, beta, m, n0, cache: UCache) -> UBlock:
         (log_int, sign, rel, converged), _ = integrate_radial_log_powers(
             g, beta, m, 2.0 * n + 1.0, tol_rel=cache.quad_tol_rel,
             max_levels=cache.quad_max_levels)
-    # log Gamma((2n+2)/m) recovered from the moment table entries
-    log_s = moment_table(params).log_moments(n0 + _U_BLOCK)[n0:]
-    lg_gamma = log_s + (2.0 * n / m) * params.log_alpha
+    lg_gamma = moment_table(m).log_moments(n0 + _U_BLOCK)[n0:]  # log Gamma(q)
     log_pow = (4.0 * n / m) * params.log_alpha
     log_u = _LOG_2PI + log_pow - lg_gamma + log_int
     # the integral's rel, plus the rounding of this log sum and of the
-    # terms it is built from, one eps of each operand's size, plus the
-    # error of the table's _log_gamma_array(q), tens of eps below q = 10,
-    # counted as _ml_inverse_moments counts its own: (2 (|log Gamma(q)| +
-    # q) + 64) eps
-    rel_u = rel + _EPS * (_LOG_2PI + np.abs(log_pow) + np.abs(log_s)
+    # terms it is built from, one eps of each operand's size and one more
+    # of log Gamma(q), plus the error of the table's _log_gamma_array(q),
+    # tens of eps below q = 10, counted as _ml_inverse_moments counts its
+    # own: (2 (|log Gamma(q)| + q) + 64) eps
+    rel_u = rel + _EPS * (_LOG_2PI + np.abs(log_pow) + np.abs(lg_gamma)
                           + 3.0 * np.abs(lg_gamma) + 2.0 * q + 64.0
                           + np.abs(log_int) + np.abs(log_u))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -286,7 +284,7 @@ def _u_compute(alpha, beta, m, n0, cache: UCache) -> UBlock:
 def u_function(alpha: float, beta: float, m: float, n: int, *,
                cache: UCache | None = None) -> UValue:
     """U(n) for weight scales (inner=alpha, outer=beta); positive by construction."""
-    if n < 0 or int(n) != n:
+    if not (float(n).is_integer() and n >= 0):
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if cache is None:
         cache = UCache()

@@ -8,6 +8,11 @@ whose diagonal values give the reproducing kernel of the weighted Fock space
 with weight exp(-alpha |z|^m).  For m = 2 the series collapses to exp(alpha*zeta),
 which the tests use as a closed-form anchor.
 
+Alpha is a dilation, S_alpha(zeta) = S_1(alpha^(2/m) zeta).  So the moment
+tables hold log Gamma(2(n+1)/m), one per m (moment_table), every series is
+summed at log|zeta| + (2/m) log alpha (WeightParams.log_dilation), and only
+stieltjes_moment puts alpha's power back into a moment.
+
 Terms can span thousands of orders of magnitude, so all summation is done on a
 log scale with a single rescale by the maximal term, and exponents are built by
 cumulating the term-to-term log ratios outward from the peak (raw exponents of
@@ -76,30 +81,15 @@ _STIRLING_COEFFS = (
 _STIRLING_CUT = 10.0  # below this, shift upward by recurrence
 
 
-def _stirling_log_gamma(x):
-    """Stirling series with Bernoulli corrections, valid for x >= _STIRLING_CUT."""
-    z = 1.0 / (x * x)
-    corr = _STIRLING_COEFFS[-1]
-    for c in _STIRLING_COEFFS[-2::-1]:
-        corr = corr * z + c
-    return (x - 0.5) * math.log(x) - x + 0.5 * _LN_2PI + corr / x
-
-
 def log_gamma(x):
     """log Gamma(x) for x > 0, scalar or ndarray.
 
     Relative accuracy ~1e-14 on (1e-3, 1e4]; raises ValueError for x <= 0.
+    A scalar is one entry of _log_gamma_array, so both give the same bits.
     """
     if isinstance(x, np.ndarray):
         return _log_gamma_array(x)
-    x = float(x)
-    if not x > 0.0:  # catches NaN as well
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    shift = 0.0
-    while x < _STIRLING_CUT:
-        shift += math.log(x)
-        x += 1.0
-    return _stirling_log_gamma(x) - shift
+    return float(_log_gamma_array(np.array([float(x)]))[0])
 
 
 def _log_gamma_array(x):
@@ -153,13 +143,19 @@ class WeightParams:
         return math.log(self.alpha)
 
     @cached_property
+    def log_dilation(self):
+        """(2/m) log alpha: S_alpha(zeta) = S_1(alpha^(2/m) zeta)."""
+        return (2.0 / self.m) * self.log_alpha
+
+    @cached_property
     def log_gamma_2m(self):
-        """log Gamma(2/m), the kernel normalization constant."""
-        return log_gamma(2.0 / self.m)
+        """log Gamma(2/m), the kernel normalization constant: log s_0."""
+        return moment_table(self.m).log_moment(0)
 
 
 class MomentTable:
-    """Append-only table of log s_n(alpha, m); entries never change once set.
+    """Append-only table of log Gamma(2(n+1)/m), the log s_n of alpha = 1,
+    shared by every alpha of one m; entries never change once set.
 
     Thread-safe: growth happens under a lock and readers only ever see fully
     materialized prefixes (stale array references stay valid because a grow
@@ -168,8 +164,8 @@ class MomentTable:
 
     _GROW = 256
 
-    def __init__(self, params: WeightParams):
-        self.params = params
+    def __init__(self, m: float):
+        self.m = float(m)
         self._log_s = np.empty(0)
         self._count = 0
         self._lock = threading.Lock()
@@ -178,7 +174,7 @@ class MomentTable:
         return self._count
 
     def log_moments(self, count):
-        """log s_n for n = 0 .. count-1 as a read-only array view."""
+        """log Gamma(2(n+1)/m) for n = 0 .. count-1, a read-only view."""
         if count > self._count:
             self._materialize(count)
         view = self._log_s[:count]
@@ -196,8 +192,7 @@ class MomentTable:
                 return
             new_len = max(count, self._count + self._GROW, 2 * self._count)
             n = np.arange(self._count, new_len, dtype=float)
-            m, la = self.params.m, self.params.log_alpha
-            fresh = -(2.0 * n / m) * la + _log_gamma_array(2.0 * (n + 1.0) / m)
+            fresh = _log_gamma_array(2.0 * (n + 1.0) / self.m)
             buf = np.empty(new_len)
             buf[: self._count] = self._log_s[: self._count]
             buf[self._count:] = fresh
@@ -205,25 +200,25 @@ class MomentTable:
             self._count = new_len
 
 
-# Live tables: the least recently used is dropped past this many.  Entries
-# are pure functions of (alpha, m, n), so a rebuilt table gives the same bits.
+# Live tables, one per m: the least recently used is dropped past this many.
+# Entries are pure functions of (m, n), so a rebuilt table gives the same bits.
 _TABLES_MAX = 64
-_TABLES: OrderedDict[tuple[float, float], MomentTable] = OrderedDict()
+_TABLES: OrderedDict[float, MomentTable] = OrderedDict()
 _TABLES_LOCK = threading.Lock()
 
 
-def moment_table(params: WeightParams) -> MomentTable:
-    """Shared per-(alpha, m) moment table, kept for the _TABLES_MAX most
-    recently used weights."""
-    key = (params.alpha, params.m)
+def moment_table(m: float) -> MomentTable:
+    """Shared per-m table of log Gamma(2(n+1)/m), kept for the _TABLES_MAX
+    most recently used m; every alpha of one m reads the same table."""
+    m = float(m)
     with _TABLES_LOCK:
-        tab = _TABLES.get(key)
+        tab = _TABLES.get(m)
         if tab is None:
-            tab = _TABLES[key] = MomentTable(params)
+            tab = _TABLES[m] = MomentTable(m)
             if len(_TABLES) > _TABLES_MAX:
                 _TABLES.popitem(last=False)
         else:
-            _TABLES.move_to_end(key)
+            _TABLES.move_to_end(m)
     return tab
 
 
@@ -231,7 +226,8 @@ def stieltjes_moment(params: WeightParams, n: int) -> float:
     """log s_n(alpha, m) = -(2n/m) log alpha + log Gamma(2(n+1)/m), memoized."""
     if not float(n).is_integer():
         raise ValueError(f"moment index must be an integer, got {n!r}")
-    return moment_table(params).log_moment(int(n))
+    log_gamma_q = moment_table(params.m).log_moment(int(n))
+    return -(2.0 * n / params.m) * params.log_alpha + log_gamma_q
 
 
 @dataclass(frozen=True)
@@ -277,9 +273,9 @@ def _tail_small(e, d, ln_tol):
 
 
 def _walk(log_abs_z, table, ln_tol, max_terms):
-    """The peak, the stop and the moment-log differences of the series with
-    log|zeta| = log_abs_z: returns (peak, stop, dlog_s) with dlog_s[n] =
-    log s_(n+1) - log s_n for n = 0 .. at least stop.
+    """The peak, the stop and the moment-log differences of the series at
+    alpha = 1 with log|zeta| = log_abs_z: returns (peak, stop, dlog_s),
+    dlog_s[n] = log s_(n+1) - log s_n for n = 0 .. at least stop.
 
     The term ratio |a_(n+1) / a_n| is log_abs_z - dlog_s[n] in log form,
     falling in n because log Gamma is convex; the peak is the first n where
@@ -328,10 +324,10 @@ def _scaled_sum_error(params, log_abs_z, theta, log_s, peak, exps, scaled):
     Algorithms, ch. 3-4): sum_n |t_n| r_n, where r_n bounds the relative
     error of the computed term t_n.  It is a first-order model that counts
     each rounding at half an ulp of the operand it acts on; r_n collects
-      * n log|zeta|: log|zeta| is rounded once and enters n times, and its
-        product with the peak index is rounded once;
-      * the moment table's error in log s_n = log Gamma(2(n+1)/m)
-        - (2n/m) log alpha: half an ulp of each of those two operands, and
+      * n log|alpha^(2/m) zeta|: log|zeta| is rounded once and enters n
+        times, its product with the peak index is rounded once, and the
+        dilation (2/m) log alpha adds half an ulp of itself per index;
+      * the moment table's error in log Gamma(2(n+1)/m): half an ulp, and
         16 eps for the upward recurrence below the Stirling cut (two
         operands of size up to log Gamma(11) ~ 15).  The roundings inside
         the Stirling sum are independent from one n to the next and
@@ -348,10 +344,8 @@ def _scaled_sum_error(params, log_abs_z, theta, log_s, peak, exps, scaled):
     idx = np.arange(len(exps), dtype=float)
     steps = np.abs(idx - peak)
     abs_e = np.abs(exps)
-    log_alpha_step = (2.0 / params.m) * params.log_alpha
-    log_gamma = np.abs(log_s[: len(exps)] + log_alpha_step * idx)
-    rel = (idx * (abs(log_abs_z) + abs(theta) + 0.5 * abs(log_alpha_step))
-           + 0.5 * log_gamma
+    rel = (idx * (abs(log_abs_z) + abs(theta) + 0.5 * abs(params.log_dilation))
+           + 0.5 * np.abs(log_s[: len(exps)])
            + 0.5 * steps * (abs(log_abs_z) + abs_e) + abs_e
            + 20.0)
     return _EPS * float(np.dot(scaled, rel))
@@ -372,30 +366,24 @@ def kernel_series(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
     sum|terms| / |sum|; once it reaches the size of the computed sum, the
     sum cannot be told from zero and the bound is inf.
     """
-    if isinstance(zeta, complex):
-        if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
-            raise ValueError("zeta must be finite")
-        abs_z = abs(zeta)
-        theta = cmath.phase(zeta) if zeta.imag != 0.0 or zeta.real < 0.0 else 0.0
-    else:
-        zeta = float(zeta)
-        if not math.isfinite(zeta):
-            raise ValueError("zeta must be finite")
-        abs_z = abs(zeta)
-        theta = math.pi if zeta < 0.0 else 0.0
+    zeta = zeta if isinstance(zeta, complex) else float(zeta)
+    if not cmath.isfinite(zeta):
+        raise ValueError("zeta must be finite")
+    abs_z = abs(zeta)
+    theta = cmath.phase(zeta) if zeta.imag != 0.0 or zeta.real < 0.0 else 0.0
 
-    table = moment_table(params)
+    table = moment_table(params.m)
 
     if abs_z == 0.0:
-        ls0 = table.log_moment(0)
-        return SeriesValue(-ls0, 1.0, 1, 4.0 * _EPS)
+        return SeriesValue(-table.log_moment(0), 1.0, 1, 4.0 * _EPS)
 
     log_abs_z = math.log(abs_z)
-    peak, n_stop, dlog_s = _walk(log_abs_z, table, math.log(tol), max_terms)
+    log_w = log_abs_z + params.log_dilation   # log|alpha^(2/m) zeta|
+    peak, n_stop, dlog_s = _walk(log_w, table, math.log(tol), max_terms)
     log_s = table.log_moments(n_stop + 1)
 
     # exponents log|a_n / a_peak|, cumulated outward from the peak
-    dl = log_abs_z - dlog_s[:n_stop]
+    dl = log_w - dlog_s[:n_stop]
     exps = np.zeros(n_stop + 1)
     exps[peak + 1:] = np.cumsum(dl[peak:])
     exps[:peak][::-1] = -np.cumsum(dl[:peak][::-1])
@@ -410,21 +398,18 @@ def kernel_series(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
     else:
         terms = scaled * np.exp(1j * (theta * np.arange(n_stop + 1)))
 
-    if real_input:
-        total = math.fsum(terms)
-        abs_total = abs(total)
-    else:
-        total = complex(math.fsum(terms.real), math.fsum(terms.imag))
-        abs_total = abs(total)
+    total = (math.fsum(terms) if real_input
+             else complex(math.fsum(terms.real), math.fsum(terms.imag)))
+    abs_total = abs(total)
 
-    ratio = math.exp(log_abs_z - dlog_s[n_stop])
+    ratio = math.exp(log_w - dlog_s[n_stop])
     if abs_total == 0.0:
         # fully cancelled at working precision
         bound = math.inf
         log_mag = -math.inf
         phase = 1.0
     else:
-        log_anchor = peak * log_abs_z - log_s[peak]
+        log_anchor = peak * log_w - log_s[peak]
         log_mag = log_anchor + math.log(abs_total)
         phase = total / abs_total if not real_input else math.copysign(1.0, total)
         tail = scaled[n_stop] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
@@ -653,7 +638,7 @@ _ABS2_FLOOR = (8.0 * _EPS) ** 2  # rounding noise of a scaled complex sum
 
 
 def _chunk_terms(table, log_t, ln_tol, max_terms):
-    """The scaled exponents of one chunk of entries with log|z| = log_t.
+    """The scaled exponents of a chunk of entries, log|z| = log_t at alpha = 1.
 
     The rows n = 0..n_last run to the stop of the chunk's largest entry.
     Returns (n, e, peak_log, stop): the row indices, shape (rows,);
@@ -723,15 +708,15 @@ class CircleSeries:
         # sorted, the ends bound every radius: negatives sort first, NaN last
         if todo.size and not 0.0 < s[todo[0]] <= s[todo[-1]] < math.inf:
             raise ValueError("circle radii must be finite and >= 0")
-        table = moment_table(params)
+        table = moment_table(params.m)
         self.size = s.size
         self.zero_log_abs = -table.log_moment(0)   # log S(0), for s = 0
         ln_tol = math.log(tol)
         self.chunks = []   # (radius indices, terms (radii, rows), peak_log)
         for start in range(0, todo.size, _GRID_CHUNK):
             idx = todo[start: start + _GRID_CHUNK]
-            n, e, peak_log, stop = _chunk_terms(table, np.log(s[idx]), ln_tol,
-                                                max_terms)
+            n, e, peak_log, stop = _chunk_terms(
+                table, np.log(s[idx]) + params.log_dilation, ln_tol, max_terms)
             # each radius's terms to its own stop, zeros past it
             terms = np.zeros(e.shape)
             np.exp(e, out=terms, where=n <= stop[:, None])

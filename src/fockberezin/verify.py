@@ -28,7 +28,7 @@ from .quadrature import integrate_radial, radial_moment, unit_symbol
 from .scan import compute_scan, rows_to_csv, parse_csv, cache_from_config
 from .special import (_EPS, _STOP_MARGIN, WeightParams, _ml_switch,
                       kernel_series, log_series_grid, moment_table,
-                      stieltjes_moment)
+                      reproducing_kernel, stieltjes_moment)
 
 
 @dataclass
@@ -93,16 +93,8 @@ def check_kernel_reference(cfg, cache):
     """Frozen high-precision corpus: value agreement and error-bound honesty."""
     worst = 0.0
     honest = True
-    sv = kernel_series(WeightParams(1.0, 4.0), 1.0, tol=cfg.tol_series)
-    e = _rel(sv.value, ref.S_A1_M4_Z1)
-    worst = max(worst, e)
-    honest &= e <= sv.truncation_error_bound
-    for (a, m, t), want in ref.S_REAL.items():
-        sv = kernel_series(WeightParams(a, m), t, tol=cfg.tol_series)
-        e = _rel(sv.value, want)
-        worst = max(worst, e)
-        honest &= e <= sv.truncation_error_bound
-    for (a, m, z), want in ref.S_COMPLEX.items():
+    for (a, m, z), want in [((1.0, 4.0, 1.0), ref.S_A1_M4_Z1),
+                            *ref.S_REAL.items(), *ref.S_COMPLEX.items()]:
         sv = kernel_series(WeightParams(a, m), z, tol=cfg.tol_series)
         e = _rel(sv.value, want)
         worst = max(worst, e)
@@ -120,9 +112,8 @@ def check_moments(cfg, cache):
             worst_cf = max(worst_cf, abs(stieltjes_moment(p, n)
                                          - (math.lgamma(n + 1) - n * math.log(a))))
     convex = True
-    for a, m in ((1e-3, 0.5), (1.0, 2.0), (5.0, 1.0), (1e6, 10.0), (0.3, 6.0),
-                 (2.0, 3.0), (1e3, 0.75)):
-        ls = moment_table(WeightParams(a, m)).log_moments(201)
+    for m in (0.5, 2.0, 1.0, 10.0, 6.0, 3.0, 0.75):
+        ls = moment_table(m).log_moments(201)
         second = ls[:-2] + ls[2:] - 2.0 * ls[1:-1]
         convex &= bool(np.all(second >= -1e-9 * np.maximum(np.abs(ls[1:-1]), 1.0)))
     ok = worst_cf <= 1e-12 and convex
@@ -139,7 +130,6 @@ def check_kernel_properties(cfg, cache):
     pos = True
     conj_exact = True
     herm_exact = True
-    from .special import reproducing_kernel
     for _ in range(60):
         a = float(rng.uniform(0.2, 5.0))
         m = float(rng.uniform(0.6, 8.0))
@@ -440,6 +430,34 @@ def check_nested_consistency(cfg, cache):
                 f"{worst_ref:.2e}, delta-monotone: {mono}, in (0,1]: {in_range}")
 
 
+def check_dilation(cfg, cache):
+    """Alpha is a dilation: (B_beta B_alpha f_delta)(0) depends only on
+    beta/alpha and delta/alpha, and S_alpha(zeta) = S_1(alpha^(2/m) zeta).
+    nested_at_zero at t (1, beta, delta), and kernel_series at fixed
+    w = alpha^(2/m) zeta, must agree with their alpha = 1 values within the
+    sum of the two bounds (plus 2 eps per term for rounding w alpha^(-2/m))."""
+    worst_nv = worst_sv = 0.0
+    for m in (0.5, 1.0, 2.0, 3.0, 10.0):
+        for r_beta, r_delta in ((2.0, 1.0), (0.5, 3.0), (10.0, 0.1)):
+            base = nested_at_zero(1.0, r_beta, m, r_delta, cache=cache)
+            for t in (1e-3, 0.1, 10.0, 1e3, 1e5):
+                nv = nested_at_zero(t, t * r_beta, m, t * r_delta, cache=cache)
+                worst_nv = max(worst_nv, abs(nv.value - base.value)
+                               / (nv.error_bound + base.error_bound))
+        for w in (0.37 * 30.0 ** (2.0 / m), -0.41 * 8.0 ** (2.0 / m),
+                  0.43 * 30.0 ** (2.0 / m) * cmath.exp(2.1j)):
+            base = kernel_series(WeightParams(1.0, m), w, tol=cfg.tol_series)
+            for a in (1e-3, 0.1, 10.0, 1e3, 1e6):
+                sv = kernel_series(WeightParams(a, m), w * a ** (-2.0 / m),
+                                   tol=cfg.tol_series)
+                worst_sv = max(worst_sv, _rel(sv.value, base.value) / (
+                    sv.truncation_error_bound + base.truncation_error_bound
+                    + 2.0 * _EPS * sv.truncation_terms))
+    return worst_nv <= 1.0 and worst_sv <= 1.0, (
+        f"nested_at_zero {worst_nv:.2f} and kernel_series {worst_sv:.2f} of "
+        f"the bound sums (75 pairs each)")
+
+
 def check_asymptotics(cfg, cache):
     """Large-beta scaling exponents of the two slope integrals."""
     grid = np.geomspace(1e3, 1e5, 7)
@@ -502,6 +520,7 @@ CHECKS = (
     ("defect-m2", check_defect_m2),
     ("defect-non-m2", check_defect_non_m2),
     ("nested-consistency", check_nested_consistency),
+    ("dilation", check_dilation),
     ("asymptotics", check_asymptotics),
     ("scan-determinism", check_scan_determinism),
 )

@@ -83,7 +83,7 @@ class TestMoments:
                 assert got == pytest.approx(direct, rel=1e-13, abs=1e-13)
 
     def test_append_only_and_stable(self):
-        table = MomentTable(WeightParams(1.7, 3.0))
+        table = MomentTable(3.0)
         late = table.log_moments(150).copy()
         early = table.log_moments(10)
         assert np.array_equal(late[:10], early)
@@ -91,16 +91,15 @@ class TestMoments:
         assert np.array_equal(late, again)
 
     def test_log_convexity(self):
-        for alpha, m in [(1e-3, 0.5), (1.0, 2.0), (5.0, 1.0), (1e6, 10.0),
-                         (0.3, 6.0)]:
-            ls = moment_table(WeightParams(alpha, m)).log_moments(202)
+        for m in (0.5, 2.0, 1.0, 10.0, 6.0):
+            ls = moment_table(m).log_moments(202)
             second = ls[:-2] + ls[2:] - 2.0 * ls[1:-1]
             assert np.all(second >= -1e-9 * np.maximum(np.abs(ls[1:-1]), 1.0))
 
     def test_negative_index(self):
         p = WeightParams(1.0, 2.0)
         with pytest.raises(ValueError):
-            moment_table(p).log_moment(-1)
+            moment_table(p.m).log_moment(-1)
         for bad in (-1, 2.7, math.nan, math.inf):
             with pytest.raises(ValueError):
                 stieltjes_moment(p, bad)
@@ -108,19 +107,26 @@ class TestMoments:
 
     def test_shared_tables_bounded(self):
         rng = np.random.default_rng(5)
-        alive = [weakref.ref(moment_table(WeightParams(float(a), 3.0)))
-                 for a in rng.uniform(1e-3, 1e3, 1000)]
+        alive = [weakref.ref(moment_table(float(m)))
+                 for m in rng.uniform(0.5, 10.0, 1000)]
         gc.collect()
         assert sum(ref() is not None for ref in alive) <= special._TABLES_MAX
         assert len(special._TABLES) <= special._TABLES_MAX
+
+    def test_alphas_of_one_m_share_one_table(self):
+        special._TABLES.clear()
+        for alpha in (1e-3, 0.7317, 1.0, 20.0):
+            kernel_series(WeightParams(alpha, 3.0), 2.5)
+            stieltjes_moment(WeightParams(alpha, 3.0), 7)
+        assert list(special._TABLES) == [3.0]
 
     def test_evicted_table_rebuilds_same_bits(self):
         p = WeightParams(0.7317, 3.0)
         kernel_series(p, 400.0)   # grow the table well past what 3.0 needs
         before = kernel_series(p, 3.0)
-        table = weakref.ref(moment_table(p))
-        for a in np.linspace(1.0, 2.0, special._TABLES_MAX):
-            moment_table(WeightParams(float(a), 3.0))
+        table = weakref.ref(moment_table(p.m))
+        for m in np.linspace(4.0, 5.0, special._TABLES_MAX):
+            moment_table(float(m))
         gc.collect()
         assert table() is None
         assert kernel_series(p, 3.0) == before
@@ -265,11 +271,11 @@ class TestKernelSeries:
 
     def test_walk_matches_full_table(self):
         """The walk's peak and stop against their definitions on a full
-        moment table: the peak is the first n with log s_(n+1) - log s_n
-        >= log|zeta|, the stop the first n from the peak on whose tail
-        bound meets tol e^-8.  Random (alpha, m, |zeta|) over the box, peak
-        indices up to 4000, tol 1e-13 and 1e-8, walked on a fresh table and
-        on the full one.  With the caps 30 and 110 of the two tests above,
+        per-m moment table: the peak is the first n with log s_(n+1) -
+        log s_n >= log|alpha^(2/m) zeta| at alpha = 1, the stop the first n
+        from the peak on whose tail bound meets tol e^-8.  Random (alpha,
+        m, |zeta|) over the box, peak indices up to 4000, tol 1e-13 and
+        1e-8, walked on a fresh table and on the full one.  With the caps 30 and 110 of the two tests above,
         kernel_series returns where the stop lies below the cap and raises
         with the message of the cap it hits otherwise."""
         rng = np.random.default_rng(43)
@@ -280,9 +286,9 @@ class TestKernelSeries:
             n_hat = 10.0 ** rng.uniform(-2.0, math.log10(4000.0))
             abs_z = (2.0 * n_hat / (m * p.alpha)) ** (2.0 / m)
             zeta = abs_z * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-            full = MomentTable(p)
+            full = MomentTable(m)
             dlog = np.diff(full.log_moments(special.DEFAULT_MAX_TERMS + 2))
-            log_z = math.log(abs_z)
+            log_z = math.log(abs_z) + p.log_dilation
             peak = int(np.flatnonzero(dlog >= log_z)[0])
             d = log_z - dlog[peak:]
             e = np.concatenate(([0.0], np.cumsum(d[:-1])))
@@ -292,7 +298,7 @@ class TestKernelSeries:
                 ln_tol = math.log(tol)
                 stop = peak + int(np.flatnonzero(
                     tail <= ln_tol - special._STOP_MARGIN)[0])
-                for table in (MomentTable(p), full):
+                for table in (MomentTable(m), full):
                     got = special._walk(log_z, table, ln_tol,
                                         special.DEFAULT_MAX_TERMS)
                     assert got[:2] == (peak, stop), (p, abs_z, tol)
@@ -442,7 +448,7 @@ class TestGridEvaluators:
         ln_tol = math.log(special.DEFAULT_SERIES_TOL)
         for m in (0.5, 2.0, 10.0):
             p = WeightParams(1.7, m)
-            table = special.moment_table(p)
+            table = special.moment_table(m)
             ts = ((700.0 / p.alpha) ** (2.0 / m)
                   * 10.0 ** rng.uniform(-7.0, 0.0, 400))
             ulps = _EPS * np.arange(-3.0, 4.0)
@@ -456,8 +462,9 @@ class TestGridEvaluators:
             want = {x: kernel_series(p, x).truncation_terms - 1
                     for x in ts.tolist()}
             for t in chunks:
-                stop = special._chunk_terms(table, np.log(t), ln_tol,
-                                            special.DEFAULT_MAX_TERMS)[3]
+                stop = special._chunk_terms(
+                    table, np.log(t) + p.log_dilation, ln_tol,
+                    special.DEFAULT_MAX_TERMS)[3]
                 assert stop.tolist() == [want[x] for x in t.tolist()], m
             assert kernel_series(p, 1e-40).truncation_terms == 1
 
