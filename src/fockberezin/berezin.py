@@ -5,10 +5,13 @@ Two independent routes are provided:
 * a fast series route for radial symbols (berezin_exp_radial), exact for
   the exponential test family f_delta(z) = exp(-delta |z|^m);
 * a 2-D polar quadrature route for arbitrary bounded symbols
-  (berezin_general), radial exp-sinh times angular trapezoid, doubled on
-  each circle until its own rule holds.  The kernel factor |S|^2 is
+  (berezin_general), radial exp-sinh times an angular mean on each circle.
+  For a planar symbol the angular mean is a trapezoid rule, doubled on
+  each circle until its own rule holds, and the kernel factor |S|^2 is
   evaluated at every angular node: on each circle the nodes form one DFT
-  of the folded series, summed by one FFT (special.CircleSeries).
+  of the folded series, summed by one FFT (special.CircleSeries).  For a
+  radial symbol f(|w|) the mean is f(rho) sum_n |a_n|^2 |z rho|^(2n), by
+  Parseval, with no angular nodes.
 
 berezin_at_zero sends radial symbols straight to the radial quadrature and
 planar symbols through the 2-D polar route at z = 0, where the kernel
@@ -169,14 +172,20 @@ def berezin_exp_radial_grid(params: WeightParams, delta: float, r, *,
 
 
 class _KernelWeightedAverage:
-    """Angular mean of f(w) |S(z conj(w))|^2 over the circle |w| = rho, by
-    trapezoid node doubling; every batch of f values is bound-checked.
+    """Angular mean of f(w) |S(z conj(w))|^2 over the circle |w| = rho;
+    every batch of f values is bound-checked.
 
     Each log_values call builds the scaled series terms of all its circles
-    once (CircleSeries); every doubling level then evaluates f and |S|^2,
-    by one FFT per circle, on the circles still refining, as _DESum does
-    with its rows.  A circle stops at the first level where its own
-    doubling difference meets its rule, max(tol_rel/4 |mean|, 8 eps
+    once (CircleSeries).  For a radial symbol the mean is exact by
+    Parseval: f(rho) times the sum of the squared terms, one evaluation of
+    f per radius and no angular nodes.  Its only angular error is the
+    rounding of that sum, (rows + 2) eps relative, which max_rel_err
+    counts.
+
+    A planar symbol takes trapezoid node doubling: every level evaluates f
+    and |S|^2, by one FFT per circle, on the circles still refining, as
+    _DESum does with its rows.  A circle stops at the first level where its
+    own doubling difference meets its rule, max(tol_rel/4 |mean|, 8 eps
     mean|f K|), and keeps that level's mean and difference, so its value
     does not depend on its batch mates.  The trapezoid rule converges
     geometrically on the periodic integrand (Trefethen & Weideman, SIAM
@@ -185,8 +194,9 @@ class _KernelWeightedAverage:
     these over |mean|.  A circle whose rule is still unmet at _NMAX nodes
     sets capped, which berezin_general reports as converged=False.
 
-    Values are returned in sign/log form, rescaled per radius by the largest
-    |S|^2 on the circle, so magnitudes far outside double range stay exact.
+    Values are returned in sign/log form, a planar circle's rescaled by its
+    largest |S|^2 on the nodes, so magnitudes far outside double range stay
+    exact.
     """
 
     _N0 = 16
@@ -197,7 +207,6 @@ class _KernelWeightedAverage:
         self.abs_z = abs(z)
         self.phi_z = math.atan2(z.imag, z.real)
         self.f = f                    # a PlanarSymbol or a RadialSymbol
-        self.planar = isinstance(f, PlanarSymbol)
         self.series_tol = series_tol
         self.tol_rel = tol_rel
         self.max_terms = max_terms
@@ -212,6 +221,14 @@ class _KernelWeightedAverage:
         # |S(0)|^2, and no series is summed
         circles = CircleSeries(self.params, self.abs_z * rho,
                                tol=self.series_tol, max_terms=self.max_terms)
+        if not isinstance(self.f, PlanarSymbol):
+            fv = self.f.values(rho)
+            _check_bound(fv, self.f.sup_bound)
+            self.point_evals += rho.size
+            log_mean, rows = circles.log_mean_abs2()
+            self.max_rel_err = max(self.max_rel_err, (rows + 2) * _EPS)
+            with np.errstate(divide="ignore"):
+                return np.sign(fv), np.log(np.abs(fv)) + log_mean
         # each radius's mean, scale and diff at the level where it stopped
         out = np.empty((3, rho.size))
         live = np.arange(rho.size)   # the radii still refining
@@ -255,17 +272,11 @@ class _KernelWeightedAverage:
         k = (np.arange(n) + off) / n
         theta = 2.0 * math.pi * k
         self.point_evals += len(rho) * n
-        # node k sits at arg zeta = phi - theta_k; a radial symbol takes
-        # phi = 0, since its mean over the nodes is the same at -theta_k
-        phi = self.phi_z if self.planar else 0.0
-        log_abs2 = circles.log_abs2(phi - 2.0 * math.pi * off / n, n)
+        # node k sits at arg zeta = phi_z - theta_k
+        log_abs2 = circles.log_abs2(self.phi_z - 2.0 * math.pi * off / n, n)
         scale = log_abs2.max(axis=1)
         kernel_w = np.exp(log_abs2 - scale[:, None])
-        if self.planar:
-            w = rho[:, None] * np.exp(1j * theta[None, :])
-            fv = self.f.values(w)
-        else:
-            fv = self.f.values(rho)[:, None]
+        fv = self.f.values(rho[:, None] * np.exp(1j * theta[None, :]))
         _check_bound(fv, self.f.sup_bound)
         vals = fv * kernel_w
         return vals.mean(axis=1), scale, np.abs(vals).mean(axis=1)
@@ -277,13 +288,17 @@ def berezin_general(params: WeightParams, f, z: complex, *,
                     max_terms=DEFAULT_MAX_TERMS) -> QuadResult:
     """(B f)(z) by 2-D polar quadrature against |S(z conj(w))|^2.
 
-    Independent of the radial series route: the kernel factor is evaluated
-    numerically on every angular node, by one FFT of the folded series per
-    circle, and integrated by trapezoid doubling, each circle to its own
-    rule, then radially by the exp-sinh rule.  converged is False, and
-    abs_error_estimate inf, when either rule is unmet, the angular one at
-    8192 nodes.  evaluations counts the angular nodes evaluated.  Raises
-    ValueError when f returns NaN or exceeds its sup_bound.
+    Independent of the radial series route: the kernel factor is summed
+    numerically on every circle and integrated radially by the exp-sinh
+    rule.  For a planar symbol |S|^2 is evaluated on the angular nodes, by
+    one FFT of the folded series per circle, and integrated by trapezoid
+    doubling, each circle to its own rule.  For a radial symbol (an
+    ExpSymbol becomes one) the angular mean is f(rho) sum_n |a_n|^2
+    |z rho|^(2n), by Parseval.  converged is False, and abs_error_estimate
+    inf, when either rule is unmet, the angular one at 8192 nodes.
+    evaluations counts the angular nodes evaluated, one per radius for a
+    radial symbol.  Raises ValueError when f returns NaN or exceeds its
+    sup_bound.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

@@ -695,7 +695,8 @@ class CircleSeries:
     a length-N DFT of the terms twisted by e^(i n phase) and folded mod N.
     select keeps a subset of the circles, and log_abs2 then twists, folds
     and transforms only theirs.  Every complex |S|^2 is floored at
-    _ABS2_FLOOR times the squared peak term.
+    _ABS2_FLOOR times the squared peak term.  log_mean_abs2 gives the mean
+    of |S|^2 over each whole circle, sum_n (a_n s^n)^2 by Parseval.
     """
 
     def __init__(self, params: WeightParams, s, *, tol=DEFAULT_SERIES_TOL,
@@ -753,6 +754,19 @@ class CircleSeries:
                     tot.real * tot.real + tot.imag * tot.imag, _ABS2_FLOOR))
             out[idx] = peak_log + log_sum
         return out
+
+    def log_mean_abs2(self):
+        """log of the mean of |S|^2 over each circle |zeta| = s, and the
+        most rows of any chunk.  By Parseval the mean is sum_n (a_n s^n)^2,
+        summed in index order as in log_abs, so it rounds within
+        (rows + 2) eps relative."""
+        out = np.full(self.size, 2.0 * self.zero_log_abs)
+        rows = 0
+        for idx, terms, peak_log in self.chunks:
+            rows = max(rows, terms.shape[1])
+            out[idx] = 2.0 * peak_log + np.log(
+                np.cumsum(terms * terms, axis=1)[:, -1])
+        return out, rows
 
     def log_abs2(self, phase, n_nodes):
         """log|S(s e^(i (phase - 2 pi k / n_nodes)))|^2, shape (radii, n_nodes)."""

@@ -155,10 +155,22 @@ class TestExpRadial:
 
 
 class TestGeneral:
+    _UNIT_POINTS = [(2.0, 1.0, 1.0), (1.0, 0.5, 2.0), (4.0, 2.0, 1.0)]
+
     def test_unit_symbol_is_one(self):
-        # (B1)(z) = 1 through genuine 2-D quadrature of |S|^2
-        for m, a, r in [(2.0, 1.0, 1.0), (1.0, 0.5, 2.0), (4.0, 2.0, 1.0)]:
+        # (B1)(z) = 1: the radial route takes each circle's mean of |S|^2
+        # from Parseval, and the exp-sinh rule integrates it over the radius
+        for m, a, r in self._UNIT_POINTS:
             res = berezin_general(WeightParams(a, m), ExpSymbol(0.0),
+                                  complex(r, 0.0), tol_rel=1e-10)
+            assert abs(res.value - 1.0) <= 1e-9
+
+    def test_planar_unit_symbol_is_one(self):
+        # the same points through the planar form of f = 1, whose |S|^2 is
+        # evaluated on the angular nodes by one FFT per circle
+        for m, a, r in self._UNIT_POINTS:
+            res = berezin_general(WeightParams(a, m),
+                                  ExpSymbol(0.0).as_planar(m),
                                   complex(r, 0.0), tol_rel=1e-10)
             assert abs(res.value - 1.0) <= 1e-9
 
@@ -196,6 +208,16 @@ class TestGeneral:
         res = berezin_general(p, f, complex(0.8, -0.3), tol_rel=1e-9)
         assert abs(res.value) <= 1.0 + res.abs_error_estimate
         assert res.value >= -res.abs_error_estimate
+
+    @pytest.mark.parametrize("alpha", [1e3, 3e3])
+    def test_large_kernel_mass_fails_loudly(self, alpha):
+        # X = alpha |z|^2 >= 1e3: the radial window misses the integrand's
+        # mass, so the rule is unmet and the estimate says so; a radial
+        # circle costs one evaluation, so the failure stays cheap
+        res = berezin_general(WeightParams(alpha, 2.0), ExpSymbol(1.0), 1)
+        assert not res.converged
+        assert res.abs_error_estimate == math.inf
+        assert res.evaluations == 73955
 
     def test_unmet_radial_rule_reports_inf(self):
         # one radial level: a single sum, with no level difference for the
@@ -250,9 +272,10 @@ class TestAngularLoop:
     def test_circle_independent_of_batch(self):
         """A circle's mean has the same bits alone as beside a harder
         circle, for a radial and a planar symbol (refined as long as the
-        hard circle, the easy one would move in the last bit); the pair
-        costs the nodes of the two circles alone, and its error is the
-        larger of theirs."""
+        hard circle, the easy planar one would move in the last bit); the
+        pair costs the nodes of the two circles alone, and its error is the
+        larger of theirs.  A radial circle costs one node by Parseval, so
+        only the planar circles differ in cost."""
         p, z = WeightParams(1.3, 3.0), complex(1.1, 0.4)
         for f in (unit_symbol(), ExpSymbol(1.0).as_planar(3.0)):
             pair = self._average(p, z, f)
@@ -262,22 +285,26 @@ class TestAngularLoop:
                 s_i, l_i = avg.log_values(np.array([rho]))
                 assert s_i[0] == sign[i] and l_i[0] == log_abs[i], (f, rho)
             assert pair.point_evals == sum(a.point_evals for a in alone)
-            assert alone[0].point_evals < alone[1].point_evals
+            if isinstance(f, PlanarSymbol):
+                assert alone[0].point_evals < alone[1].point_evals
+            else:
+                assert [a.point_evals for a in alone] == [1, 1]
             assert pair.max_rel_err == max(a.max_rel_err for a in alone)
 
     @pytest.mark.parametrize("m, alpha, delta, z, planar, evals", [
         (1.0, 1.109375, 1.734375,
          complex(0.37785666452109884, 0.22052344790744988), True, 4352),
         (2.0, 1.359375, 1.515625,
-         complex(0.6252841639137965, -0.6985169749967601), False, 11776),
+         complex(0.6252841639137965, -0.6985169749967601), False, 289),
         (4.0, 1.734375, 0.609375,
          complex(1.3091006773166005, -0.0944016241873946), True, 23808),
     ])
     def test_evaluation_counts(self, m, alpha, delta, z, planar, evals):
         """The angular nodes of three fixed points of the crossval
-        benchmark, a machine-independent work counter: a circle costs the
-        nodes of the levels it refines, not those of its hardest batch
-        mate."""
+        benchmark, a machine-independent work counter: a planar circle
+        costs the nodes of the levels it refines, not those of its hardest
+        batch mate, and a radial circle one node, so the radial point
+        counts the exp-sinh radii."""
         f = ExpSymbol(delta).as_planar(m) if planar else ExpSymbol(delta)
         res = berezin_general(WeightParams(alpha, m), f, z, tol_rel=1e-10)
         assert res.converged
