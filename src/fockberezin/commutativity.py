@@ -36,7 +36,8 @@ from .quadrature import (DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_REL, QuadResult,
                          RadialSymbol, integrate_radial_log,
                          integrate_radial_log_powers)
 from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, WeightParams,
-                      _ml_inverse_moments, log_series_grid, moment_table)
+                      _log_gamma_error, _ml_inverse_moments, log_series_grid,
+                      moment_table)
 
 _EPS = float(np.finfo(float).eps)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -174,6 +175,9 @@ class UCache:
         return blk
 
     def u(self, alpha: float, beta: float, m: float, n: int) -> UValue:
+        if not (float(n).is_integer() and n >= 0):
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        n = int(n)
         blk = self.block(alpha, beta, m, _U_BLOCK * (n // _U_BLOCK))
         fail = blk.failed.get(n)
         if fail is not None:
@@ -261,14 +265,11 @@ def _u_compute(alpha, beta, m, n0, cache: UCache) -> UBlock:
     lg_gamma = moment_table(m).log_moments(n0 + _U_BLOCK)[n0:]  # log Gamma(q)
     log_pow = (4.0 * n / m) * params.log_alpha
     log_u = _LOG_2PI + log_pow - lg_gamma + log_int
-    # the integral's rel, plus the rounding of this log sum and of the
-    # terms it is built from, one eps of each operand's size and one more
-    # of log Gamma(q), plus the error of the table's _log_gamma_array(q),
-    # tens of eps below q = 10, counted as _ml_inverse_moments counts its
-    # own: (2 (|log Gamma(q)| + q) + 64) eps
-    rel_u = rel + _EPS * (_LOG_2PI + np.abs(log_pow) + np.abs(lg_gamma)
-                          + 3.0 * np.abs(lg_gamma) + 2.0 * q + 64.0
-                          + np.abs(log_int) + np.abs(log_u))
+    # the integral's rel, one eps of each operand of this log sum and one
+    # more of log Gamma(q), and the table's error in log Gamma(q)
+    rel_u = rel + _log_gamma_error(q, lg_gamma) + _EPS * (
+        _LOG_2PI + np.abs(log_pow) + 2.0 * np.abs(lg_gamma) + np.abs(log_int)
+        + np.abs(log_u))
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.exp(log_u)
         partial = np.exp(log_int) * sign
@@ -284,12 +285,10 @@ def _u_compute(alpha, beta, m, n0, cache: UCache) -> UBlock:
 def u_function(alpha: float, beta: float, m: float, n: int, *,
                cache: UCache | None = None) -> UValue:
     """U(n) for weight scales (inner=alpha, outer=beta); positive by construction."""
-    if not (float(n).is_integer() and n >= 0):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if cache is None:
         cache = UCache()
     _validate_scales(alpha, beta, m)
-    return cache.u(float(alpha), float(beta), float(m), int(n))
+    return cache.u(float(alpha), float(beta), float(m), n)
 
 
 def _validate_scales(alpha, beta, m):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .commutativity import DEFAULT_KAPPA
@@ -23,8 +24,8 @@ class RunConfig:
 
     def validate(self):
         for name in ("tol_series", "tol_quad_rel", "defect_kappa"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be finite and > 0")
         # the exp-sinh stop rule first reads at the level after the first,
         # whose odd nodes share the first level's call of g
         for name, least in (("series_max_terms", 1),

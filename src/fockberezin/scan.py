@@ -73,7 +73,7 @@ def parse_csv(text: str) -> list[ScanRow]:
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 9:
+        if len(parts) != 9 or parts[8] not in ("true", "false"):
             raise ValueError(f"malformed scan CSV row: {ln!r}")
         rows.append(ScanRow(*(float(p) for p in parts[:8]),
                             significant=parts[8] == "true"))

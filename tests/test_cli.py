@@ -42,7 +42,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("text", ["bogus.key = 1\n", "tol.series : 1\n",
                                       "tol.series = abc\n", "threads = 0\n",
-                                      "quad.max_levels = 0\n"])
+                                      "quad.max_levels = 0\n",
+                                      "tol.series = inf\n"])
     def test_bad_config_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -70,6 +71,12 @@ class TestScanMachinery:
         text = rows_to_csv(rows)
         assert text.splitlines()[0] == CSV_HEADER
         assert parse_csv(text) == rows
+
+    @pytest.mark.parametrize("flag", ["maybe", "True"])
+    def test_parse_csv_rejects_bad_significant(self, flag):
+        row = ",".join(["4"] * 8 + [flag])
+        with pytest.raises(ValueError, match="malformed scan CSV row"):
+            parse_csv(f"{CSV_HEADER}\n{row}\n")
 
     def test_cache_state_and_delta_order_invariance(self):
         cfg = RunConfig()
@@ -254,6 +261,16 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "significant (kappa = 1e+308): false" in out
+
+    @pytest.mark.parametrize("flag,key", [("--tol-series", "tol.series"),
+                                          ("--tol-quad-rel", "tol.quad.rel"),
+                                          ("--defect-kappa", "defect.kappa")])
+    def test_non_finite_setting_exit_code(self, capsys, flag, key):
+        rc = main(["defect", "--m", "4", "--alpha", "1", "--beta", "2",
+                   "--delta", "1", flag, "inf"])
+        assert rc == 2
+        assert (f"config error: {key} must be finite and > 0"
+                in capsys.readouterr().err)
 
     def test_corrupt_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

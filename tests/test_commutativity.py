@@ -107,6 +107,10 @@ class TestUFunction:
         for bad in (-1, math.inf, math.nan):
             with pytest.raises(ValueError):
                 u_function(1.0, 1.0, 2.0, bad, cache=cache)
+        # the cache checks its index itself
+        for bad in (-1, 2.5):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                UCache().u(1.0, 2.0, 4.0, bad)
         with pytest.raises(ValueError):
             u_function(0.0, 1.0, 2.0, 0, cache=cache)
         with pytest.raises(ValueError):
@@ -437,8 +441,10 @@ class TestRoundingFloor:
 
 class TestULogGammaRounding:
     """A U row's rel_error counts the error of log Gamma((2n+2)/m), which
-    the moment table takes from _log_gamma_array: below x = 10 that errs
-    by tens of eps (23 eps at x = 0.2), far more than one eps of its size."""
+    the moment table takes from _log_gamma_array: against the exact
+    (2n+2)/m it errs by up to 17 eps below x = 10 (lgamma, at x = 23/3)
+    and 141 eps above (Stirling, at x = 104/3), far more than one eps of
+    its size."""
 
     @pytest.mark.parametrize("m", [3.0, 4.0, 6.0, 10.0])
     def test_counts_the_log_gamma_error(self, monkeypatch, m):
