@@ -39,10 +39,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, CircleSeries,
-                      WeightParams, kernel_series, log_series_grid)
+                      WeightParams, _ml_contour, _ml_rel_bound, kernel_series,
+                      log_series_grid, moment_table)
 # bench/tracing.py wraps this module attribute; the 2-D route no longer calls it
 from .special import series_abs2_grid  # noqa: F401
-from .quadrature import (DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_REL, QuadResult,
+from .quadrature import (_A, _LOG_WINDOW, _LOG_WINDOW_DECAY,
+                         DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_REL, QuadResult,
                          RadialSymbol, _check_bound, _DESum,
                          integrate_radial)
 
@@ -282,6 +284,196 @@ class _KernelWeightedAverage:
         return vals.mean(axis=1), scale, np.abs(vals).mean(axis=1)
 
 
+# Below xi = _ENV_REF the envelope sums the first _ENV_TERMS terms of S and
+# bounds the rest from their sum at _ENV_REF; from _ENV_REF on it takes the
+# Mittag-Leffler leading term.
+_ENV_REF = 4.0
+_ENV_TERMS = 4
+
+
+def _log_upper_gamma_bound(s, y):
+    """log of a bound on Gamma(s, y) = int_y^inf t^(s-1) e^-t dt, y > 0:
+    t^(s-1) <= y^(s-1) e^((s-1)(t-y)/y) on t >= y."""
+    if s <= 1.0:
+        return (s - 1.0) * math.log(y) - y
+    if y > s - 1.0:
+        return (s - 1.0) * math.log(y) - y - math.log1p(-(s - 1.0) / y)
+    return math.lgamma(s)
+
+
+class _KernelEnvelope:
+    """A proven bound on the radial integrand of berezin_general, and the
+    window of the exp-sinh rule that it gives.
+
+    The series S has positive coefficients, so |S(z conj w)| <= S(|z| rho)
+    on the circle |w| = rho (cf. Marzo & Ortega-Cerda, J. Geom. Anal. 19,
+    2009), and the angular mean of f |S|^2 is at most sup_bound S(|z|
+    rho)^2.  In x = log u, u = alpha rho^m, the integrand of the radial rule
+    is then at most sup_bound / S(|z|^2) e^phi(x), with
+
+        phi(x) = q x - e^x + 2 log S(|z| rho),   q = a = 2/m.
+
+    log S is a function of the Mittag-Leffler variable xi = alpha (|z|
+    rho)^(m/2) = sqrt(X u), X = alpha |z|^m, and is bounded in closed form
+    on both sides (_log_s): from xi = _ENV_REF on by the leading term and
+    its proven remainder bound (special._ml_rel_bound, which falls with xi);
+    below it by the first _ENV_TERMS terms of the series in y = xi^a, plus
+    the rest, at most (y/y_1)^_ENV_TERMS times its value at y_1 = _ENV_REF^a.
+
+    window(depth) places the window where the upper bound of phi lies
+    within e^-depth of a lower bound of its peak, and returns with it a
+    proven bound on the envelope's mass outside the window (_log_outside),
+    in the units of the exp-sinh integral.  It uses two facts: log S rises
+    with rho, and past _ENV_REF the bound on e^phi is a Gaussian in
+    sqrt(u), X^(1-a) a^-2 (1 + b)^2 e^(X - (sqrt(u) - sqrt(X))^2) du.
+    """
+
+    def __init__(self, params, abs_z, sup_bound, log_s_z):
+        m = params.m
+        self.a = a = 2.0 / m
+        self.lam0 = -params.log_gamma_2m                # log S(0)
+        self.log_x = (params.log_alpha + m * math.log(abs_z) if abs_z > 0.0
+                      else -math.inf)
+        self.x_big = math.exp(self.log_x)
+        _, self.ks, self.coef = _ml_contour(m)
+        self.inv_gamma = np.exp(
+            -moment_table(m).log_moments(_ENV_TERMS)).tolist()[::-1]
+        self.log_ref = math.log(_ENV_REF)
+        self.y_ref = _ENV_REF ** a
+        self.rest = max(math.exp(self._log_s_ml(_ENV_REF)[1])
+                        - self._head(self.y_ref), 0.0)
+        # the rest of the bound on g, and with the prefactor of u = alpha
+        # rho^m, the factor from int e^phi dx to the exp-sinh integral
+        self.log_g = (math.log(sup_bound) if sup_bound > 0.0 else -math.inf
+                      ) - log_s_z
+        self.log_const = self.log_g - math.log(m) - a * params.log_alpha
+        # a lower bound on the peak of phi: at u = a, where log S >= log
+        # S(0), and at the peak of the leading term's phi
+        root_x = math.sqrt(self.x_big)
+        v = 0.5 * (root_x + math.sqrt(self.x_big + 4.0))
+        self.peak, self.x_peak = max((self._phi(x)[0], x)
+                                     for x in (math.log(a), 2.0 * math.log(v)))
+
+    def _head(self, y):
+        out = 0.0
+        for c in self.inv_gamma:
+            out = out * y + c
+        return out
+
+    def _log_s_ml(self, xi):
+        """Bounds on log S from the leading term at xi >= _ENV_REF."""
+        a = self.a
+        lead = xi + (1.0 - a) * math.log(xi) - math.log(a)
+        b = _ml_rel_bound(a, self.ks, self.coef, xi)
+        low = lead + math.log1p(-b) if b < 1.0 else self.lam0
+        return low, lead + math.log1p(b)
+
+    def _log_s(self, x):
+        """(lower, upper) bounds on log S(|z| rho) at x = log(alpha rho^m)."""
+        if self.log_x == -math.inf:
+            return self.lam0, self.lam0
+        log_xi = 0.5 * (self.log_x + x)
+        if log_xi >= self.log_ref:
+            return self._log_s_ml(math.exp(log_xi))
+        y = math.exp(self.a * log_xi)
+        head = self._head(y)
+        return (math.log(head),
+                math.log(head + self.rest * (y / self.y_ref) ** _ENV_TERMS))
+
+    def _phi(self, x):
+        """(lower, upper) bounds on phi(x)."""
+        low, high = self._log_s(x)
+        base = self.a * x - math.exp(x)
+        return base + 2.0 * low, base + 2.0 * high
+
+    def window(self, depth):
+        """(x_lo, x_hi, log_out): the window in x = log u, and the log of a
+        bound on the envelope's mass outside it, in the units of the
+        exp-sinh integral of the radial rule."""
+        level = self.peak - depth
+        x_lo = self._edge(level, -1.0)
+        x_hi = self._edge(level, 1.0)
+        return x_lo, x_hi, self.log_const + self._log_outside(x_lo, x_hi)
+
+    def _edge(self, level, step):
+        """The point where the upper bound of phi falls to level, on the
+        side of the peak that step points to: bracketed by doubling steps
+        from the peak, then narrowed by regula falsi (the Illinois variant)
+        to a quarter of a level-12 exp-sinh step, and taken at the outer end
+        of the bracket, or at a point within 1e-9 of level."""
+        def over(x):
+            return self._phi(x)[1] - level
+
+        x_in, f_in = self.x_peak, over(self.x_peak)
+        while True:
+            x_out = min(self.x_peak + step, 708.0)
+            f_out = over(x_out)
+            if f_out < 0.0 or x_out == 708.0:
+                break
+            x_in, f_in = x_out, f_out
+            step *= 2.0
+        side = 0
+        for _ in range(60):
+            if not (f_out < 0.0
+                    and abs(x_out - x_in) > 3e-5 * math.hypot(_A, x_out)):
+                break
+            x = (x_out * f_in - x_in * f_out) / (f_in - f_out)
+            f = over(x)
+            if abs(f) <= 1e-9:
+                return x
+            if f > 0.0:
+                x_in, f_in = x, f
+                if side > 0:
+                    f_out *= 0.5
+                side = 1
+            else:
+                x_out, f_out = x, f
+                if side < 0:
+                    f_in *= 0.5
+                side = -1
+        return x_out
+
+    def _log_outside(self, x_lo, x_hi):
+        """log of a bound on int e^phi dx over x < x_lo and x > x_hi."""
+        a, big = self.a, self.x_big
+        root_x = math.sqrt(big)
+        # where xi = _ENV_REF; inf at z = 0, where log S = log S(0)
+        x_ref = 2.0 * self.log_ref - self.log_x
+        parts = []
+        # left: log S rises with rho, so up to x_0 it is at most its bound
+        # at x_0, and int_{-inf}^{x_0} e^(a x - e^x) dx <= e^(a x_0) / a
+        x_0 = min(x_lo, x_ref)
+        parts.append(2.0 * self._log_s(x_0)[1] + a * x_0 - math.log(a))
+        if x_lo > x_ref:
+            # the Gaussian from x_ref to x_lo, left of its centre sqrt(X)
+            w = root_x - math.exp(0.5 * x_lo)
+            parts.append(self._log_gauss(_ENV_REF) + (
+                math.log(root_x) - w * w - math.log(w) if w > 0.0
+                else math.log(2.0 + 2.0 * math.sqrt(math.pi * big))))
+        x_1 = x_hi
+        if x_hi < x_ref:
+            # right, up to x_ref: log S is at most its bound at x_ref
+            top = self._log_s(x_ref)[1] if x_ref < math.inf else self.lam0
+            parts.append(2.0 * top + _log_upper_gamma_bound(a, math.exp(x_hi)))
+            x_1 = x_ref
+        if x_1 < 1400.0:   # past it e^(-(v - sqrt X)^2) is 0 in doubles
+            # the Gaussian right of x_1
+            w = math.exp(0.5 * x_1) - root_x
+            parts.append(self._log_gauss(math.exp(0.5 * (self.log_x + x_1))) + (
+                -w * w + math.log1p(root_x / w) if w > 0.0
+                else math.log(2.0 + 2.0 * math.sqrt(math.pi * big))))
+        return float(np.logaddexp.reduce(parts))
+
+    def _log_gauss(self, xi):
+        """log of X^(1-a) a^-2 (1 + b)^2 e^X, the factor of the Gaussian
+        bound on e^phi dx = (...) e^(-(v - sqrt X)^2) 2 v dv, v = sqrt(u),
+        on xi >= the given xi (b falls with xi)."""
+        a = self.a
+        b = _ml_rel_bound(a, self.ks, self.coef, xi)
+        return (2.0 * math.log1p(b) + (1.0 - a) * self.log_x
+                - 2.0 * math.log(a) + self.x_big)
+
+
 def berezin_general(params: WeightParams, f, z: complex, *,
                     tol_rel=DEFAULT_QUAD_TOL_REL,
                     max_levels=DEFAULT_MAX_LEVELS, series_tol=DEFAULT_SERIES_TOL,
@@ -294,11 +486,16 @@ def berezin_general(params: WeightParams, f, z: complex, *,
     one FFT of the folded series per circle, and integrated by trapezoid
     doubling, each circle to its own rule.  For a radial symbol (an
     ExpSymbol becomes one) the angular mean is f(rho) sum_n |a_n|^2
-    |z rho|^(2n), by Parseval.  converged is False, and abs_error_estimate
-    inf, when either rule is unmet, the angular one at 8192 nodes.
-    evaluations counts the angular nodes evaluated, one per radius for a
-    radial symbol.  Raises ValueError when f returns NaN or exceeds its
-    sup_bound.
+    |z rho|^(2n), by Parseval.  The radial rule keeps only the radii where
+    a proven envelope of its integrand lies within e^-_LOG_WINDOW_DECAY of
+    its peak (_KernelEnvelope), and adds the envelope's mass outside them
+    to the estimate; where that mass exceeds tol_rel |value| the run is
+    repeated e^-_LOG_WINDOW deep.  converged is False, and
+    abs_error_estimate inf, when either rule is unmet, the angular one at
+    8192 nodes, or when the mass outside the deeper window is still too
+    large.  evaluations counts the angular nodes evaluated over both runs,
+    one per radius for a radial symbol.  Raises ValueError when f returns
+    NaN or exceeds its sup_bound.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -307,25 +504,36 @@ def berezin_general(params: WeightParams, f, z: complex, *,
         f = f.as_radial(params.m)
     if not isinstance(f, (RadialSymbol, PlanarSymbol)):
         raise TypeError(f"unsupported symbol type {type(f).__name__}")
-    avg = _KernelWeightedAverage(params, z, f, series_tol=series_tol,
-                                 tol_rel=tol_rel, max_terms=max_terms)
-
     s_z = kernel_series(params, z.real * z.real + z.imag * z.imag,
                         tol=series_tol, max_terms=max_terms)
+    envelope = _KernelEnvelope(params, abs(z), f.sup_bound, s_z.log_magnitude)
+    log_norm = _normalization_log(params) + params.log_gamma_2m
+    evals = 0
+    for depth in (_LOG_WINDOW_DECAY, _LOG_WINDOW):
+        avg = _KernelWeightedAverage(params, z, f, series_tol=series_tol,
+                                     tol_rel=tol_rel, max_terms=max_terms)
 
-    def g_pair(r):
-        sign, log_abs = avg.log_values(r)
-        # fold the 1/S(|z|^2) normalization in here: the pair form keeps
-        # kernel magnitudes far outside double range exact
-        return sign, log_abs - s_z.log_magnitude
+        def g_pair(r):
+            sign, log_abs = avg.log_values(r)
+            # fold the 1/S(|z|^2) normalization in here: the pair form keeps
+            # kernel magnitudes far outside double range exact
+            return sign, log_abs - s_z.log_magnitude
 
-    (t_sum,), (err_s,), (log_scale,), (converged,) = _DESum(
-        g_pair, params.alpha, params.m, [1.0], tol_rel, max_levels, 0.0).run()
-    factor = math.exp(_normalization_log(params) + params.log_gamma_2m
-                      + log_scale)
+        x_lo, x_hi, log_out = envelope.window(depth)
+        (t_sum,), (err_s,), (log_scale,), (converged,) = _DESum(
+            g_pair, params.alpha, params.m, [1.0], tol_rel, max_levels, 0.0,
+            window=[(x_lo, x_hi)]).run()
+        evals += avg.point_evals
+        # the envelope's mass outside the window must be negligible
+        held = (math.exp(min(log_out - log_scale, 700.0))
+                <= tol_rel * abs(t_sum))
+        if held:
+            break
+    factor = math.exp(log_norm + log_scale)
     value = t_sum * factor
     rel_extra = (avg.max_rel_err + s_z.truncation_error_bound
                  + 2.0 * series_tol)  # angular + normalization + node series
-    converged = bool(converged) and not avg.capped
-    err = err_s * factor + abs(value) * rel_extra if converged else math.inf
-    return QuadResult(value, err, avg.point_evals, converged)
+    converged = bool(converged) and held and not avg.capped
+    err = (err_s * factor + abs(value) * rel_extra + math.exp(log_norm + log_out)
+           if converged else math.inf)
+    return QuadResult(value, err, evals, converged)

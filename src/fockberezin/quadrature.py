@@ -150,7 +150,8 @@ class _DESum:
     e^-_LOG_WINDOW_DECAY deep, since it need not allow for an unknown g
     being small at the mass.  Otherwise the windows reach e^-_LOG_WINDOW
     below the peak of u^q e^-u, so that g may be down to about e^-720
-    there.
+    there.  A caller that knows a bound on its integrand passes each row's
+    window, (x_lo, x_hi) in x = log u, in place of these models.
 
     Each term's exp() carries about E_k ulps, E_k = |q x_k| + u_k + |log
     g_k| + |log w_k| the absolute size of node k's exponent, so eps sum_k h
@@ -169,7 +170,8 @@ class _DESum:
     |t_sum|) for that of the final exp().  evals counts the evaluations of g.
     """
 
-    def __init__(self, g_pair, c, m, powers, tol_rel, max_levels, decay):
+    def __init__(self, g_pair, c, m, powers, tol_rel, max_levels, decay,
+                 window=None):
         if not (c > 0.0 and math.isfinite(c)):
             raise ValueError(f"decay scale c must be positive and finite, got {c!r}")
         if not (m > 0.0 and math.isfinite(m)):
@@ -188,13 +190,14 @@ class _DESum:
         self.g_pair = g_pair
         self.tol_rel = tol_rel
         self.max_levels = max_levels
-        lo_shift = math.log1p(decay / c)
-        width = _LOG_WINDOW_DECAY if lo_shift > 0.0 else _LOG_WINDOW
-        windows = [_u_window(qj, width) for qj in q.tolist()]
+        if window is None:
+            lo_shift = math.log1p(decay / c)
+            width = _LOG_WINDOW_DECAY if lo_shift > 0.0 else _LOG_WINDOW
+            window = [(x_lo - lo_shift, x_hi - lo_shift) for _, x_lo, x_hi
+                      in (_u_window(qj, width) for qj in q.tolist())]
         # each row's window in t, as (t_lo, -t_hi)
-        self.window = np.array([(math.asinh((x_lo - lo_shift) / _A),
-                                 -math.asinh((x_hi - lo_shift) / _A))
-                                for _, x_lo, x_hi in windows]).T
+        self.window = np.array([(math.asinh(x_lo / _A), -math.asinh(x_hi / _A))
+                                for x_lo, x_hi in window]).T
         self.evals = 0
 
     def _scaled_terms(self, t, q):

@@ -410,10 +410,11 @@ def kernel_series(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
         log_mag = -math.inf
         phase = 1.0
     else:
-        log_anchor = peak * log_w - log_s[peak]
+        log_anchor = peak * log_w - float(log_s[peak])
         log_mag = log_anchor + math.log(abs_total)
         phase = total / abs_total if not real_input else math.copysign(1.0, total)
-        tail = scaled[n_stop] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+        tail = (float(scaled[n_stop]) * ratio / (1.0 - ratio) if ratio < 1.0
+                else math.inf)
         err_abs = _scaled_sum_error(params, log_abs_z, 0.0 if real_input else theta,
                                     log_s, peak, exps, scaled) + tail
         if err_abs >= abs_total:

@@ -18,7 +18,7 @@ from fockberezin._reference import (DEFECT_M4_1_2_D1, NESTED_M4_BWD_2_1_D1,
                                     NESTED_M4_FWD_1_2_D1, U_GAP_M4_12, U_M4)
 from fockberezin.berezin import ExpSymbol, berezin_general
 from fockberezin.commutativity import _U_BLOCK, UBlock, UValue
-from fockberezin.special import WeightParams
+from fockberezin.special import WeightParams, kernel_series, reproducing_kernel
 
 
 @pytest.fixture(scope="module")
@@ -599,6 +599,13 @@ class TestResultTypes:
             assert [type(v) for v in (res.value, res.abs_error_estimate,
                                       res.evaluations, res.converged)] == [
                 float, float, int, bool]
+        for zeta in (2.5, -2.5, 1.0 + 2.0j, 0.0):
+            for sv in (kernel_series(WeightParams(1.0, 3.0), zeta),
+                       reproducing_kernel(WeightParams(1.0, 3.0), zeta, 1.0)):
+                assert [type(v) for v in (sv.log_magnitude,
+                                          sv.truncation_error_bound,
+                                          sv.truncation_terms)] == [
+                    float, float, int]
         with pytest.raises(NonConvergenceError) as ei:
             u_function(1.0, 0.01, 0.5, 53, cache=UCache(quad_max_levels=5))
         assert type(ei.value.partial) is float
