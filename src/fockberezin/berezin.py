@@ -13,10 +13,9 @@ Two independent routes are provided:
   radial symbol f(|w|) the mean is f(rho) sum_n |a_n|^2 |z rho|^(2n), by
   Parseval, with no angular nodes.
 
-berezin_at_zero sends radial symbols straight to the radial quadrature and
-planar symbols through the 2-D polar route at z = 0, where the kernel
-factor is constant.  Both routes reject symbol values that are NaN or
-exceed the declared sup bound.
+berezin_at_zero is the 2-D polar route at z = 0, where the kernel factor is
+constant.  Both routes reject symbol values that are NaN or exceed the
+declared sup bound.
 
 For f_delta the radial series telescopes into a ratio of kernel-series
 values: reindexing Gamma((2n+2)/m)/s_n^2 = alpha^{2n/m}/s_n turns the sum
@@ -45,8 +44,7 @@ from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, CircleSeries,
 from .special import series_abs2_grid  # noqa: F401
 from .quadrature import (_A, _LOG_WINDOW, _LOG_WINDOW_DECAY,
                          DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_REL, QuadResult,
-                         RadialSymbol, _check_bound, _DESum,
-                         integrate_radial)
+                         RadialSymbol, _check_bound, _DESum)
 
 _EPS = np.finfo(float).eps
 
@@ -104,25 +102,11 @@ def _normalization_log(params: WeightParams) -> float:
 def berezin_at_zero(params: WeightParams, f, *, tol_rel=DEFAULT_QUAD_TOL_REL,
                     max_levels=DEFAULT_MAX_LEVELS,
                     series_tol=DEFAULT_SERIES_TOL) -> QuadResult:
-    """(B f)(0): the integral of f against the normalized weight measure.
-
-    Radial symbols go straight to the radial quadrature.  Planar symbols
-    take the 2-D polar route at z = 0 (berezin_general), where the kernel
-    factor is the constant |S(0)|^2 and only the angular mean is summed.
-    Both routes reject symbol values that are NaN or exceed the sup bound.
-    """
-    if isinstance(f, PlanarSymbol):
-        return berezin_general(params, f, 0j, tol_rel=tol_rel,
-                               max_levels=max_levels, series_tol=series_tol)
-    if isinstance(f, ExpSymbol):
-        f = f.as_radial(params.m)
-    elif not isinstance(f, RadialSymbol):
-        raise TypeError(f"unsupported symbol type {type(f).__name__}")
-    res = integrate_radial(f, params.alpha, params.m, 1.0, tol_rel=tol_rel,
-                           max_levels=max_levels)
-    factor = math.exp(_normalization_log(params))
-    return QuadResult(res.value * factor, res.abs_error_estimate * factor,
-                      res.evaluations, res.converged)
+    """(B f)(0): the integral of f against the normalized weight measure,
+    by berezin_general at z = 0, where the kernel factor is the constant
+    |S(0)|^2 and only the angular mean is summed."""
+    return berezin_general(params, f, 0j, tol_rel=tol_rel,
+                           max_levels=max_levels, series_tol=series_tol)
 
 
 def berezin_exp_radial(params: WeightParams, delta: float, r: float, *,
@@ -521,7 +505,7 @@ def berezin_general(params: WeightParams, f, z: complex, *,
 
         x_lo, x_hi, log_out = envelope.window(depth)
         (t_sum,), (err_s,), (log_scale,), (converged,) = _DESum(
-            g_pair, params.alpha, params.m, [1.0], tol_rel, max_levels, 0.0,
+            g_pair, params.alpha, params.m, [1.0], tol_rel, max_levels,
             window=[(x_lo, x_hi)]).run()
         evals += avg.point_evals
         # the envelope's mass outside the window must be negligible

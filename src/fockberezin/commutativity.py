@@ -32,9 +32,10 @@ import numpy as np
 
 from .berezin import _normalization_log, berezin_exp_radial_grid
 from .errors import NonConvergenceError
-from .quadrature import (DEFAULT_MAX_LEVELS, DEFAULT_QUAD_TOL_REL, QuadResult,
-                         RadialSymbol, integrate_radial_log,
-                         integrate_radial_log_powers)
+from .quadrature import (_LOG_WINDOW_DECAY, DEFAULT_MAX_LEVELS,
+                         DEFAULT_QUAD_TOL_REL, QuadResult, RadialSymbol,
+                         _DESum, _log_rows, _pair_from_symbol, _u_window,
+                         integrate_radial_log, integrate_radial_log_powers)
 from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, WeightParams,
                       _log_gamma_error, _ml_inverse_moments, log_series_grid,
                       moment_table)
@@ -234,12 +235,25 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
     def eval_array(r):
         return np.exp(log_inv(r))
 
-    # 1/S_alpha(r^2) = (2/m) alpha^((2-m)/m) r^(2-m) e^(-alpha r^m), up to
-    # exponentially small terms (the Mittag-Leffler branch of
-    # log_series_grid)
     return RadialSymbol(lambda x: float(eval_array(np.array([x]))[0]), sup,
-                        eval_array=eval_array, decay=params.alpha,
-                        eval_log=log_inv)
+                        eval_array=eval_array, eval_log=log_inv)
+
+
+def _u_quadrature(g, alpha, beta, m, powers, *, tol_rel=DEFAULT_QUAD_TOL_REL,
+                  max_levels=DEFAULT_MAX_LEVELS):
+    """integrate_radial_log_powers(g, beta, m, powers) for a g that falls
+    like e^(-alpha r^m) up to powers of r, as 1/S_alpha(r^2) does: it is
+    (2/m) alpha^((2-m)/m) r^(2-m) e^(-alpha r^m) up to exponentially small
+    terms (the Mittag-Leffler branch of log_series_grid).  In u = beta r^m
+    the integrand of power p then follows u^(q-1) e^(-(1 + alpha/beta) u),
+    q = (p+1)/m, so each window is that of u^q e^-u, e^-_LOG_WINDOW_DECAY
+    deep, shifted down by log(1 + alpha/beta) to where the mass moves."""
+    shift = math.log1p(alpha / beta)
+    q = (np.asarray(powers, dtype=float) + 1.0) / m
+    window = [(x_lo - shift, x_hi - shift) for x_lo, x_hi
+              in (_u_window(qj, _LOG_WINDOW_DECAY) for qj in q.tolist())]
+    return _log_rows(_DESum(_pair_from_symbol(g), beta, m, powers, tol_rel,
+                            max_levels, window=window))
 
 
 def _u_compute(alpha, beta, m, n0, cache: UCache) -> UBlock:
@@ -258,10 +272,9 @@ def _u_compute(alpha, beta, m, n0, cache: UCache) -> UBlock:
         rel = rel + rounding
         sign, converged = 1.0, np.ones(_U_BLOCK, dtype=bool)
     else:
-        g = cache.inv_kernel_symbol(alpha, m)
-        (log_int, sign, rel, converged), _ = integrate_radial_log_powers(
-            g, beta, m, 2.0 * n + 1.0, tol_rel=cache.quad_tol_rel,
-            max_levels=cache.quad_max_levels)
+        (log_int, sign, rel, converged), _ = _u_quadrature(
+            cache.inv_kernel_symbol(alpha, m), alpha, beta, m, 2.0 * n + 1.0,
+            tol_rel=cache.quad_tol_rel, max_levels=cache.quad_max_levels)
     lg_gamma = moment_table(m).log_moments(n0 + _U_BLOCK)[n0:]  # log Gamma(q)
     log_pow = (4.0 * n / m) * params.log_alpha
     log_u = _LOG_2PI + log_pow - lg_gamma + log_int
@@ -381,8 +394,10 @@ def defect(alpha: float, beta: float, m: float, delta: float, *,
     """Commutator defect (B_beta B_alpha - B_alpha B_beta) f_delta at 0.
 
     Exactly antisymmetric under swapping alpha and beta: both orders reuse
-    the same two nested computations.
+    the same two nested computations.  kappa must be finite and positive.
     """
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be finite and > 0, got {kappa!r}")
     if cache is None:
         cache = UCache()
     forward = nested_at_zero(alpha, beta, m, delta, cache=cache)

@@ -38,7 +38,7 @@ _H0 = 0.5              # level 0's mesh in the transformed variable: level
 _FIRST_LEVEL = 2       # a run's first sum is on h = 1/8, all its nodes in the
                        # first call of g, with level 3's odd nodes
 _LOG_WINDOW = 760.0    # keep nodes whose integrand is within e^-760 of the peak
-_LOG_WINDOW_DECAY = 100.0   # the same, for a symbol that declares its decay
+_LOG_WINDOW_DECAY = 100.0   # the same, for a window from a known decay
 _EPS = float(np.finfo(float).eps)
 _TINY = np.finfo(float).tiny   # below this a value has lost precision
 _FLOOR_ULPS = 16.0     # a row's rounding floor, in eps of sum_k h |t_k| E_k
@@ -66,10 +66,7 @@ class RadialSymbol:
 
     eval_array, when provided, must evaluate a whole numpy array of radii;
     otherwise the scalar callable is mapped elementwise.  The declared sup
-    bound is spot-checked on every quadrature node batch.  decay, when
-    positive, states that the symbol falls like exp(-decay r^m) at large r
-    (up to powers of r); the quadrature then centres each window where the
-    integrand's mass moves, towards 0.
+    bound is spot-checked on every quadrature node batch.
 
     eval_log, when provided, gives a positive symbol in log form: log g
     for an array of radii.  The quadrature uses it at the nodes where the
@@ -80,7 +77,6 @@ class RadialSymbol:
     eval: Callable[[float], float]
     sup_bound: float
     eval_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    decay: float = 0.0
     eval_log: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def values(self, r: np.ndarray) -> np.ndarray:
@@ -100,15 +96,14 @@ def unit_symbol() -> RadialSymbol:
 def _u_window(q, width):
     """x-range (x = log u) outside which u^q e^-u is below e^-width of its
     peak value q^q e^-q."""
-    e_peak = q * (math.log(q) - 1.0)
-    x_lo = (e_peak - width) / q - 2.0 / q
+    x_lo = (q * (math.log(q) - 1.0) - width) / q - 2.0 / q
     # right edge: solve u - q log u = width + q - q log q
     rhs = width + q - q * math.log(q)
     u = width + 2.0 * q + 10.0
     for _ in range(6):
         u = rhs + q * math.log(u)
     x_hi = min(math.log(u), 708.0)
-    return e_peak, x_lo, x_hi
+    return x_lo, x_hi
 
 
 # The scale of a row that has seen no term yet: below every term's log, and
@@ -124,8 +119,8 @@ class _DESum:
     nodes x_k = A sinh(k h) of a level do not depend on q (Takahasi & Mori,
     1974), so g_pair, which maps an array of radii to (sign, log|g|) so
     that factors far outside double range never appear in linear form, runs
-    once per level on the nodes spanning the windows (_u_window) of the
-    rows still refining; the windows of the U(n) of one block overlap, so
+    once per level on the nodes spanning the windows of the rows still
+    refining; the windows of the U(n) of one block overlap, so
     that span is their union.  Each row counts the nodes outside its own
     window as exact zeros (one broadcast compare masks them for all rows).
     The rows' rescales, sums, errors and stop tests (_tolerance) are array
@@ -136,22 +131,15 @@ class _DESum:
     inside the windows, the nodes of levels 0, 1 and 2 together: no stop
     rule can read before level 3, the first level with a predecessor, so
     passes at those levels would only cost calls of g.  The same call of g
-    takes level 3's odd nodes k/16 too, since every run with max_levels >
-    _FIRST_LEVEL reaches level 3; each of the two levels then sums its own
+    takes level 3's odd nodes k/16 too, since every run reaches level 3
+    (max_levels > _FIRST_LEVEL); each of the two levels then sums its own
     slice of the call, as if it had made its own.  Each later level
-    evaluates g on its odd nodes only.  A run with max_levels <=
-    _FIRST_LEVEL makes one pass, at h = _H0/2^max_levels, and stops
-    unconverged.
+    evaluates g on its odd nodes only.
 
-    When g itself decays like exp(-decay r^m), the integrand of row j
-    follows the model u^(q_j - 1) e^-(1 + decay/c) u, whose mass sits near
-    (c + decay) r^m = q_j instead of c r^m = q_j.  Each window is then the
-    model's: shifted down by lo_shift = log(1 + decay/c), and only
-    e^-_LOG_WINDOW_DECAY deep, since it need not allow for an unknown g
-    being small at the mass.  Otherwise the windows reach e^-_LOG_WINDOW
-    below the peak of u^q e^-u, so that g may be down to about e^-720
-    there.  A caller that knows a bound on its integrand passes each row's
-    window, (x_lo, x_hi) in x = log u, in place of these models.
+    A caller that knows how its integrand decays passes each row's window,
+    (x_lo, x_hi) in x = log u.  Otherwise each window reaches e^-_LOG_WINDOW
+    below the peak of u^q e^-u (_u_window), so that g may be down to about
+    e^-720 at the mass.  The engine keeps no model of g.
 
     Each term's exp() carries about E_k ulps, E_k = |q x_k| + u_k + |log
     g_k| + |log w_k| the absolute size of node k's exponent, so eps sum_k h
@@ -170,19 +158,21 @@ class _DESum:
     |t_sum|) for that of the final exp().  evals counts the evaluations of g.
     """
 
-    def __init__(self, g_pair, c, m, powers, tol_rel, max_levels, decay,
+    def __init__(self, g_pair, c, m, powers, tol_rel, max_levels,
                  window=None):
         if not (c > 0.0 and math.isfinite(c)):
             raise ValueError(f"decay scale c must be positive and finite, got {c!r}")
         if not (m > 0.0 and math.isfinite(m)):
             raise ValueError(f"exponent m must be positive and finite, got {m!r}")
-        if not (decay >= 0.0 and math.isfinite(decay)):
-            raise ValueError(f"symbol decay must be finite and >= 0, got {decay!r}")
         powers = np.asarray(powers, dtype=float)
-        if (powers < 0.0).any():
-            raise ValueError(f"power must be >= 0, got {float(powers.min())!r}")
-        if max_levels < 0:
-            raise ValueError(f"max_levels must be >= 0, got {max_levels!r}")
+        bad = powers[~((powers >= 0.0) & (powers < math.inf))]
+        if bad.size:
+            raise ValueError(f"power must be finite and >= 0, got {float(bad[0])!r}")
+        if not 0.0 < tol_rel < math.inf:
+            raise ValueError(f"tol_rel must be finite and > 0, got {tol_rel!r}")
+        if max_levels <= _FIRST_LEVEL:
+            raise ValueError(
+                f"max_levels must be >= {_FIRST_LEVEL + 1}, got {max_levels!r}")
         self.q = q = (powers + 1.0) / m
         self.log_c = math.log(c)
         self.log_pref = -math.log(m) - q * self.log_c
@@ -191,10 +181,7 @@ class _DESum:
         self.tol_rel = tol_rel
         self.max_levels = max_levels
         if window is None:
-            lo_shift = math.log1p(decay / c)
-            width = _LOG_WINDOW_DECAY if lo_shift > 0.0 else _LOG_WINDOW
-            window = [(x_lo - lo_shift, x_hi - lo_shift) for _, x_lo, x_hi
-                      in (_u_window(qj, width) for qj in q.tolist())]
+            window = [_u_window(qj, _LOG_WINDOW) for qj in q.tolist()]
         # each row's window in t, as (t_lo, -t_hi)
         self.window = np.array([(math.asinh(x_lo / _A), -math.asinh(x_hi / _A))
                                 for x_lo, x_hi in window]).T
@@ -257,15 +244,13 @@ class _DESum:
         state[3], state[4] = _NO_TERM, math.nan
         out = state.copy()   # each row's state when it stopped
         new = np.empty((3, n_rows))
-        level = first = min(_FIRST_LEVEL, self.max_levels)
+        level = _FIRST_LEVEL
         ahead = None   # the next level's terms, from the first call of g
         while level <= self.max_levels and row.size:
             sums, scale, err = state[:3], state[3], state[4]
             h = _H0 / 2.0 ** level
-            k = self._level_nodes(bounds, level, level == first)
-            if ahead is not None:
-                parts, ahead = ahead, None
-            elif level == first < self.max_levels:
+            k = self._level_nodes(bounds, level, level == _FIRST_LEVEL)
+            if level == _FIRST_LEVEL:
                 # no row stops at the first level, so the next level's odd
                 # nodes join its call of g; each node's terms depend on its
                 # own t alone, so the split gives both levels their bits
@@ -274,6 +259,8 @@ class _DESum:
                     np.concatenate((k * h, k_next * (0.5 * h))), q)
                 parts = [a[..., :k.size] for a in both]
                 ahead = [a[..., k.size:] for a in both]
+            elif ahead is not None:
+                parts, ahead = ahead, None
             else:
                 parts = self._scaled_terms(k * h, q)
             sgn, log_f, abs_x, rest = parts
@@ -298,7 +285,7 @@ class _DESum:
             np.add.reduce(mod, axis=1, out=new[1])
             np.add(q * (mod @ abs_x), mod @ rest, out=new[2])
             new *= h
-            if level == first:
+            if level == _FIRST_LEVEL:
                 sums[...] = new
             else:
                 sums *= adj
@@ -365,8 +352,7 @@ def integrate_radial(g: RadialSymbol, c: float, m: float, power: float = 0.0, *,
     converged=False and an abs_error_estimate of inf after max_levels
     doublings.
     """
-    engine = _DESum(_pair_from_symbol(g), c, m, [power], tol_rel, max_levels,
-                    g.decay)
+    engine = _DESum(_pair_from_symbol(g), c, m, [power], tol_rel, max_levels)
     (t_sum,), (err,), (log_scale,), (converged,) = engine.run()
     with np.errstate(over="ignore"):
         factor = np.exp(log_scale)
@@ -382,8 +368,12 @@ def integrate_radial_log_powers(g: RadialSymbol, c: float, m: float, powers, *,
     run whose nodes all the powers share.  Returns arrays over the powers
     (log |value|, sign, relative error, converged), and the number of
     evaluations of g.  An unconverged power's relative error is inf."""
-    engine = _DESum(_pair_from_symbol(g), c, m, powers, tol_rel, max_levels,
-                    g.decay)
+    return _log_rows(_DESum(_pair_from_symbol(g), c, m, powers, tol_rel,
+                            max_levels))
+
+
+def _log_rows(engine):
+    """Run engine and give its rows as integrate_radial_log_powers does."""
     t_sum, err, log_scale, converged = engine.run()
     mod = np.abs(t_sum)
     with np.errstate(divide="ignore", invalid="ignore"):

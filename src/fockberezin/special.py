@@ -14,9 +14,10 @@ summed at log|zeta| + (2/m) log alpha (WeightParams.log_dilation), and only
 stieltjes_moment puts alpha's power back into a moment.
 
 Terms can span thousands of orders of magnitude, so all summation is done on a
-log scale with a single rescale by the maximal term, and exponents are built by
-cumulating the term-to-term log ratios outward from the peak (raw exponents of
-size ~1e5 would lose the low bits that the scaled sum actually needs).
+log scale with a single rescale by the maximal term.  kernel_series cumulates
+its exponents from the term-to-term log ratios outward from the peak (raw
+exponents of size ~1e5 lose low bits the scaled sum needs); the chunk engine
+(_chunk_terms) forms n log|z| - log s_n - peak_log directly.
 
 Every summation, scalar or grid, follows one stop rule: it ends at the first
 n past the peak term where the geometric tail bound |a_n| rho_n / (1 - rho_n),

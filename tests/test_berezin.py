@@ -79,7 +79,8 @@ class TestAtZero:
             for a in (0.5, 1.0, 2.0):
                 for d in (0.0, 0.5, 1.0, 4.0):
                     want = (a / (a + d)) ** (2.0 / m)
-                    # radial route, then the 2-D polar route at z = 0
+                    # the radial mean by Parseval, then the planar one by
+                    # the angular rule, both on the 2-D polar route
                     for f in (ExpSymbol(d), ExpSymbol(d).as_planar(m)):
                         res = berezin_at_zero(WeightParams(a, m), f)
                         assert abs(res.value - want) / want <= 1e-10
@@ -209,28 +210,38 @@ class TestGeneral:
         assert abs(res.value) <= 1.0 + res.abs_error_estimate
         assert res.value >= -res.abs_error_estimate
 
+    # (converged, evaluations) of the radial and the planar symbol
+    _LARGE_X = {1e3: ((True, 97), (True, 99328)),
+                3e3: ((True, 94), (True, 190720)),
+                1e4: ((True, 89), (False, 559360))}
+
     @pytest.mark.parametrize("alpha", [1e3, 3e3, 1e4])
     def test_large_kernel_mass_fails_loudly(self, alpha):
         # X = alpha |z|^2 >= 1e3, where the integrand's mass sits at u ~ X:
         # each point must certify within its estimate of the closed form or
         # fail loudly.  The window of the kernel's envelope holds the mass,
-        # so each certifies, on about a hundred radii
-        res = berezin_general(WeightParams(alpha, 2.0), ExpSymbol(1.0), 1)
+        # so the radial symbol certifies on about a hundred radii; the
+        # planar one's angular rule needs more nodes as X grows, and at
+        # 1e4 it fails loudly
         want = alpha / (alpha + 1.0) * math.exp(-alpha / (alpha + 1.0))
-        if res.converged:
-            assert abs(res.value - want) <= res.abs_error_estimate
-        else:
-            assert res.abs_error_estimate == math.inf
-        assert (res.converged, res.evaluations) == (
-            True, {1e3: 97, 3e3: 94, 1e4: 89}[alpha])
+        got = []
+        for f in (ExpSymbol(1.0), ExpSymbol(1.0).as_planar(2.0)):
+            res = berezin_general(WeightParams(alpha, 2.0), f, 1)
+            if res.converged:
+                assert abs(res.value - want) <= res.abs_error_estimate
+            else:
+                assert res.abs_error_estimate == math.inf
+            got.append((res.converged, res.evaluations))
+        assert tuple(got) == self._LARGE_X[alpha]
 
     def test_unmet_radial_rule_reports_inf(self):
-        # one radial level: a single sum, with no level difference for the
-        # rule to read, so the rule is unmet and the estimate says so
+        # levels 2 and 3 only: one level difference, above tol_rel = 1e-12,
+        # so the rule is unmet and the estimate says so
         res = berezin_general(WeightParams(1.0, 3.0), ExpSymbol(0.5), 1.2,
-                              max_levels=1)
+                              max_levels=3)
         assert not res.converged
         assert res.abs_error_estimate == math.inf
+        assert res.evaluations == 113
 
     def test_level_3_point_builds_one_circle_series(self, monkeypatch):
         # the exp-sinh run's first call of g takes levels 2 and 3, and each
@@ -256,7 +267,7 @@ class TestGeneral:
         f = kind(lambda x: bad, 1.0, eval_array=lambda x: np.full(x.shape, bad))
         with pytest.raises(ValueError):
             berezin_general(WeightParams(1.0, 2.0), f, complex(0.7, -0.4),
-                            max_levels=2)
+                            max_levels=3)
 
     def test_rejects_bad_symbol_type(self):
         with pytest.raises(TypeError):

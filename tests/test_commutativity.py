@@ -374,8 +374,9 @@ class TestUClosedForm:
                                            cache.series_tol)) <= cache.quad_tol_rel
             log_j, rel, rounding = special._ml_inverse_moments(
                 WeightParams(alpha, m), beta, (2.0 * n + 2.0) / m, cache.series_tol)
-            (log_q, _, rel_q, converged), _ = quadrature.integrate_radial_log_powers(
-                cache.inv_kernel_symbol(alpha, m), beta, m, 2.0 * n + 1.0)
+            (log_q, _, rel_q, converged), _ = commutativity._u_quadrature(
+                cache.inv_kernel_symbol(alpha, m), alpha, beta, m,
+                2.0 * n + 1.0)
             assert converged.all()
             gap = np.abs(np.expm1(log_q - log_j))
             assert np.all(gap <= rel + rounding + rel_q), (m, alpha, beta, n0)
@@ -400,8 +401,8 @@ class TestRoundingFloor:
     @staticmethod
     def _rows(alpha, beta, m, ns):
         g = UCache().inv_kernel_symbol(alpha, m)
-        return quadrature.integrate_radial_log_powers(
-            g, beta, m, [2.0 * n + 1.0 for n in ns])
+        return commutativity._u_quadrature(
+            g, alpha, beta, m, [2.0 * n + 1.0 for n in ns])
 
     def test_stops_before_max_levels(self, monkeypatch):
         # at m = 0.5, q = 4n + 4 is near 4,600 and so is the size of each
@@ -450,12 +451,13 @@ class TestULogGammaRounding:
     def test_counts_the_log_gamma_error(self, monkeypatch, m):
         quad = []
 
+        u_quadrature = commutativity._u_quadrature
+
         def recorded(*args, **kwargs):
-            quad.append(quadrature.integrate_radial_log_powers(*args, **kwargs))
+            quad.append(u_quadrature(*args, **kwargs))
             return quad[-1]
 
-        monkeypatch.setattr(commutativity, "integrate_radial_log_powers",
-                            recorded)
+        monkeypatch.setattr(commutativity, "_u_quadrature", recorded)
         blk = UCache().block(1.0, 1.0, m, 0)
         assert len(quad) == 1   # the block takes the exp-sinh run
         (_, _, rel, _), _ = quad[0]
@@ -638,6 +640,11 @@ class TestDefect:
         rep = defect(1.0, 2.0, 4.0, 1.0, kappa=1e308, cache=cache)
         assert not rep.significant
         assert rep.kappa == 1e308
+        # a kappa of 0 or below would call the m = 2 rounding significant,
+        # and a NaN one would never call anything significant
+        for kappa in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                defect(1.0, 2.0, 2.0, 1.0, kappa=kappa, cache=cache)
 
 
 class TestLemma1:

@@ -8,6 +8,7 @@ import pytest
 from fockberezin import (ExpSymbol, PlanarSymbol, RadialSymbol, UCache,
                          WeightParams, berezin_general, integrate_radial,
                          integrate_radial_log, radial_moment, unit_symbol)
+from fockberezin.commutativity import _u_quadrature
 from fockberezin.quadrature import (_A, _EPS, _DESum,
                                     integrate_radial_log_powers)
 
@@ -100,23 +101,47 @@ class TestDecayingSymbol:
 
     D = 1000.0
 
-    def _symbol(self, decay=D):
+    def _symbol(self):
         d = self.D
         return RadialSymbol(lambda r: math.exp(-d * r * r), 1.0,
                             eval_array=lambda r: np.exp(-d * r * r),
-                            decay=decay, eval_log=lambda r: -d * r * r)
+                            eval_log=lambda r: -d * r * r)
 
     def test_log_form_far_below_double_range(self):
-        log_val, sign, rel, _, converged = integrate_radial_log(
-            self._symbol(), 1.0, 2.0, 2001.0)
+        # the U route's windows follow a decay e^(-D r^m) of the symbol
+        (log_val, sign, rel, converged), _ = _u_quadrature(
+            self._symbol(), self.D, 1.0, 2.0, [2001.0])
         want = math.lgamma(1001.0) - math.log(2.0) - 1001.0 * math.log(1001.0)
-        assert converged and sign == 1.0
-        assert abs(math.expm1(log_val - want)) <= max(rel, 1e-12)
+        assert converged[0] and sign[0] == 1.0
+        assert abs(math.expm1(log_val[0] - want)) <= max(rel[0], 1e-12)
 
-    @pytest.mark.parametrize("decay", [-1.0, math.nan, math.inf])
-    def test_decay_must_be_finite_and_nonnegative(self, decay):
-        with pytest.raises(ValueError):
-            integrate_radial(self._symbol(decay=decay), 1.0, 2.0, 1.0)
+    def test_mass_outside_the_generic_window_fails_loudly(self):
+        """The public entries take the window of u^q e^-u, which knows
+        nothing of the symbol's decay.  Where the mass lies outside it the
+        run must say so: the symbol above has its mass at r = 1, far left
+        of the window around r^2 = 1001, and reports inf.  1/S_alpha(r^2)
+        falls like e^(-alpha r^m): on points across m, alpha/beta and n,
+        each value is inf or lies within the sum of the two bounds of the
+        U route's value (3 of the 5 are inf)."""
+        _, _, rel, _, converged = integrate_radial_log(
+            self._symbol(), 1.0, 2.0, 2001.0)
+        assert not converged and rel == math.inf
+        unconverged = 0
+        for m, alpha, n in ((2.0, 1e3, 300), (0.5, 10.0, 300), (4.0, 10.0, 3),
+                            (1.0, 1e5, 30), (10.0, 1e7, 300)):
+            g = UCache().inv_kernel_symbol(alpha, m)
+            power = 2.0 * n + 1.0
+            log_val, _, rel, _, converged = integrate_radial_log(g, 1.0, m,
+                                                                 power)
+            (log_u, _, rel_u, converged_u), _ = _u_quadrature(g, alpha, 1.0,
+                                                              m, [power])
+            assert converged_u[0], (m, alpha, n)
+            if converged:
+                assert abs(math.expm1(log_val - log_u[0])) <= rel + rel_u[0]
+            else:
+                assert rel == math.inf
+                unconverged += 1
+        assert unconverged == 3
 
 
 class TestUnitInvariance:
@@ -130,15 +155,15 @@ class TestUnitInvariance:
     def test_shifted_log_symbol(self, alpha, beta, m, n):
         g = UCache().inv_kernel_symbol(alpha, m)
         power = 2.0 * n + 1.0
-        log_val, _, rel, _, converged = integrate_radial_log(g, beta, m, power)
+        ((log_val,), _, (rel,), (converged,)), _ = _u_quadrature(
+            g, alpha, beta, m, [power])
         shift = log_val + 800.0   # e^(log_val - shift) = e^-800 < 1e-300
         assert log_val > 0.0
         # eval_array gives zeros, so every node takes the log form
         low = RadialSymbol(lambda r: 0.0, 1.0, eval_array=np.zeros_like,
-                           decay=g.decay,
                            eval_log=lambda r: g.eval_log(r) - shift)
-        log_low, _, rel_low, _, converged_low = integrate_radial_log(
-            low, beta, m, power)
+        ((log_low,), _, (rel_low,), (converged_low,)), _ = _u_quadrature(
+            low, alpha, beta, m, [power])
         assert converged and converged_low
         # the rounding model counts the shift itself: one ulp of K per node
         assert abs(rel_low - rel) <= _EPS * shift
@@ -192,8 +217,8 @@ class TestFirstLevel:
     def _window_nodes(level, every):
         """The k of level's nodes k h inside the window of power 1 at c = 1
         and m = 2: every one, or the odd k only."""
-        t_lo, neg_t_hi = _DESum(None, 1.0, 2.0, [1.0], 1e-12, 12,
-                                0.0).window[:, 0]
+        t_lo, neg_t_hi = _DESum(None, 1.0, 2.0, [1.0], 1e-12,
+                                12).window[:, 0]
         lo = math.ceil(math.ldexp(t_lo, level + 1))
         hi = math.floor(math.ldexp(-neg_t_hi, level + 1))
         k = np.arange(lo, hi + 1)
@@ -230,15 +255,6 @@ class TestFirstLevel:
         assert res.evaluations == calls[0].size
         assert not res.converged and res.abs_error_estimate == math.inf
 
-    @pytest.mark.parametrize("max_levels", [1, 2])
-    def test_below_level_3_is_unconverged(self, max_levels):
-        g, calls = _counting_symbol()
-        res = integrate_radial(g, 1.0, 2.0, 1.0, tol_rel=1e-2,
-                               max_levels=max_levels)
-        assert not res.converged and len(calls) == 1
-        assert res.abs_error_estimate == math.inf
-        assert res.value == pytest.approx(0.5, rel=1e-2)
-
 
 class TestFirstCallBits:
     """Outputs recorded when levels 2 and 3 each made their own call of g.
@@ -257,8 +273,8 @@ class TestFirstCallBits:
         # this block takes the exp-sinh run: its low rows lie short of the
         # Mittag-Leffler closed form
         n = np.arange(64.0)
-        (log_int, _, rel, _), evals = integrate_radial_log_powers(
-            UCache().inv_kernel_symbol(1.0, 4.0), 0.5, 4.0, 2.0 * n + 1.0)
+        (log_int, _, rel, _), evals = _u_quadrature(
+            UCache().inv_kernel_symbol(1.0, 4.0), 1.0, 0.5, 4.0, 2.0 * n + 1.0)
         blk = UCache().block(1.0, 0.5, 4.0, 0)
         assert evals == 334
         # rel_error: the recorded bits, then the rounding of log Gamma
@@ -298,19 +314,20 @@ class TestUnconverged:
     plausible small number."""
 
     def test_integrate_radial_estimate_is_inf(self):
-        # one level leaves a single sum, on h = 1/4, with no predecessor for
-        # the stop rule to read
-        res = integrate_radial(unit_symbol(), 1.0, 2.0, 1.0, max_levels=1)
+        # levels 2 and 3 leave one level difference, on h = 1/16, above
+        # tol_rel = 1e-12
+        res = integrate_radial(unit_symbol(), 1.0, 2.0, 1.0, max_levels=3)
         assert not res.converged
         assert res.abs_error_estimate == math.inf
         assert res.value == pytest.approx(0.5, rel=1e-4)
+        assert res.evaluations == 145
 
     def test_log_forms_rel_is_inf(self):
         _, _, rel, _, converged = integrate_radial_log(
-            unit_symbol(), 1.0, 2.0, 1.0, max_levels=1)
+            unit_symbol(), 1.0, 2.0, 1.0, max_levels=3)
         assert not converged and rel == math.inf
         (_, _, rel, converged), _ = integrate_radial_log_powers(
-            unit_symbol(), 1.0, 2.0, [1.0, 3.0], max_levels=1)
+            unit_symbol(), 1.0, 2.0, [1.0, 3.0], max_levels=3)
         assert not converged.any()
         assert (rel == math.inf).all()
 
@@ -318,14 +335,32 @@ class TestUnconverged:
 class TestValidation:
     @pytest.mark.parametrize("c,m,power", [(-1.0, 2.0, 1.0), (0.0, 2.0, 1.0),
                                            (1.0, 0.0, 1.0), (1.0, 2.0, -1.0),
-                                           (math.inf, 2.0, 1.0)])
+                                           (math.inf, 2.0, 1.0),
+                                           (1.0, 2.0, math.nan),
+                                           (1.0, 2.0, math.inf)])
     def test_bad_arguments(self, c, m, power):
-        with pytest.raises(ValueError):
+        # each message says what the argument must be
+        with pytest.raises(ValueError, match="must be"):
             integrate_radial(unit_symbol(), c, m, power)
+        with pytest.raises(ValueError, match="must be"):
+            integrate_radial_log_powers(unit_symbol(), c, m, [1.0, power])
+
+    @pytest.mark.parametrize("tol_rel", [math.nan, math.inf, 0.0, -1e-12])
+    def test_bad_tolerance(self, tol_rel):
+        # a NaN tolerance meets no stop test and so would run every level
+        # before it reports inf; an infinite one would meet every test
+        with pytest.raises(ValueError):
+            integrate_radial(unit_symbol(), 1.0, 2.0, 1.0, tol_rel=tol_rel)
+        with pytest.raises(ValueError):
+            berezin_general(WeightParams(1.0, 2.0), ExpSymbol(1.0), 0.5,
+                            tol_rel=tol_rel)
 
     def test_negative_max_levels(self):
-        with pytest.raises(ValueError):
-            integrate_radial(unit_symbol(), 1.0, 2.0, 1.0, max_levels=-1)
+        # the stop rule first reads at level 3
+        for max_levels in (-1, 0, 1, 2):
+            with pytest.raises(ValueError):
+                integrate_radial(unit_symbol(), 1.0, 2.0, 1.0,
+                                 max_levels=max_levels)
 
     def test_radial_moment_examples(self):
         assert radial_moment(1.0, 2.0, 0) == pytest.approx(math.log(math.pi), rel=1e-14)
