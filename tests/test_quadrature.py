@@ -255,6 +255,17 @@ class TestFirstLevel:
         assert res.evaluations == calls[0].size
         assert not res.converged and res.abs_error_estimate == math.inf
 
+    @pytest.mark.parametrize("max_levels", [1, 2])
+    def test_below_level_3_is_unconverged(self, max_levels):
+        # below level 3 no sum has a predecessor for the stop rule to read,
+        # so such a run could only end unconverged: it is refused before
+        # any call of g
+        g, calls = _counting_symbol()
+        with pytest.raises(ValueError, match="max_levels must be >= 3"):
+            integrate_radial(g, 1.0, 2.0, 1.0, tol_rel=1e-2,
+                             max_levels=max_levels)
+        assert calls == []
+
 
 class TestFirstCallBits:
     """Outputs recorded when levels 2 and 3 each made their own call of g.
@@ -356,8 +367,8 @@ class TestValidation:
                             tol_rel=tol_rel)
 
     def test_negative_max_levels(self):
-        # the stop rule first reads at level 3
-        for max_levels in (-1, 0, 1, 2):
+        # levels 1 and 2 are TestFirstLevel::test_below_level_3_is_unconverged
+        for max_levels in (-1, 0):
             with pytest.raises(ValueError):
                 integrate_radial(unit_symbol(), 1.0, 2.0, 1.0,
                                  max_levels=max_levels)
