@@ -37,6 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import NonConvergenceError
 from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, CircleSeries,
                       WeightParams, _ml_contour, _ml_rel_bound, kernel_series,
                       log_series_grid, moment_table)
@@ -100,13 +101,13 @@ def _normalization_log(params: WeightParams) -> float:
 
 
 def berezin_at_zero(params: WeightParams, f, *, tol_rel=DEFAULT_QUAD_TOL_REL,
-                    max_levels=DEFAULT_MAX_LEVELS,
-                    series_tol=DEFAULT_SERIES_TOL) -> QuadResult:
+                    max_levels=DEFAULT_MAX_LEVELS) -> QuadResult:
     """(B f)(0): the integral of f against the normalized weight measure,
     by berezin_general at z = 0, where the kernel factor is the constant
-    |S(0)|^2 and only the angular mean is summed."""
+    |S(0)|^2 and only the angular mean is summed: no series, so no series
+    tolerance."""
     return berezin_general(params, f, 0j, tol_rel=tol_rel,
-                           max_levels=max_levels, series_tol=series_tol)
+                           max_levels=max_levels)
 
 
 def berezin_exp_radial(params: WeightParams, delta: float, r: float, *,
@@ -476,10 +477,11 @@ def berezin_general(params: WeightParams, f, z: complex, *,
     to the estimate; where that mass exceeds tol_rel |value| the run is
     repeated e^-_LOG_WINDOW deep.  converged is False, and
     abs_error_estimate inf, when either rule is unmet, the angular one at
-    8192 nodes, or when the mass outside the deeper window is still too
-    large.  evaluations counts the angular nodes evaluated over both runs,
-    one per radius for a radial symbol.  Raises ValueError when f returns
-    NaN or exceeds its sup_bound.
+    8192 nodes, when the mass outside the deeper window is still too large,
+    or, with a NaN value, when a series raises NonConvergenceError.  The
+    node series, summed only where z != 0, add 2 series_tol.  evaluations
+    counts the angular nodes evaluated, one per radius for a radial symbol.
+    Raises ValueError when f returns NaN or exceeds its sup_bound.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -488,36 +490,41 @@ def berezin_general(params: WeightParams, f, z: complex, *,
         f = f.as_radial(params.m)
     if not isinstance(f, (RadialSymbol, PlanarSymbol)):
         raise TypeError(f"unsupported symbol type {type(f).__name__}")
-    s_z = kernel_series(params, z.real * z.real + z.imag * z.imag,
-                        tol=series_tol, max_terms=max_terms)
-    envelope = _KernelEnvelope(params, abs(z), f.sup_bound, s_z.log_magnitude)
+    avg = _KernelWeightedAverage(params, z, f, series_tol=series_tol,
+                                 tol_rel=tol_rel, max_terms=max_terms)
+    try:
+        s_z = kernel_series(params, z.real * z.real + z.imag * z.imag,
+                            tol=series_tol, max_terms=max_terms)
+        envelope = _KernelEnvelope(params, abs(z), f.sup_bound,
+                                   s_z.log_magnitude)
+        for depth in (_LOG_WINDOW_DECAY, _LOG_WINDOW):
+            # the angular error and cap are per run, the node count is not
+            avg.max_rel_err, avg.capped = 0.0, False
+
+            def g_pair(r):
+                sign, log_abs = avg.log_values(r)
+                # fold the 1/S(|z|^2) normalization in here: the pair form
+                # keeps kernel magnitudes far outside double range exact
+                return sign, log_abs - s_z.log_magnitude
+
+            x_lo, x_hi, log_out = envelope.window(depth)
+            (t_sum,), (err_s,), (log_scale,), (converged,) = _DESum(
+                g_pair, params.alpha, params.m, [1.0], tol_rel, max_levels,
+                window=[(x_lo, x_hi)]).run()
+            # the envelope's mass outside the window must be negligible
+            held = (math.exp(min(log_out - log_scale, 700.0))
+                    <= tol_rel * abs(t_sum))
+            if held:
+                break
+    except NonConvergenceError:   # a series past max_terms: no value
+        return QuadResult(math.nan, math.inf, avg.point_evals, False)
     log_norm = _normalization_log(params) + params.log_gamma_2m
-    evals = 0
-    for depth in (_LOG_WINDOW_DECAY, _LOG_WINDOW):
-        avg = _KernelWeightedAverage(params, z, f, series_tol=series_tol,
-                                     tol_rel=tol_rel, max_terms=max_terms)
-
-        def g_pair(r):
-            sign, log_abs = avg.log_values(r)
-            # fold the 1/S(|z|^2) normalization in here: the pair form keeps
-            # kernel magnitudes far outside double range exact
-            return sign, log_abs - s_z.log_magnitude
-
-        x_lo, x_hi, log_out = envelope.window(depth)
-        (t_sum,), (err_s,), (log_scale,), (converged,) = _DESum(
-            g_pair, params.alpha, params.m, [1.0], tol_rel, max_levels,
-            window=[(x_lo, x_hi)]).run()
-        evals += avg.point_evals
-        # the envelope's mass outside the window must be negligible
-        held = (math.exp(min(log_out - log_scale, 700.0))
-                <= tol_rel * abs(t_sum))
-        if held:
-            break
     factor = math.exp(log_norm + log_scale)
     value = t_sum * factor
+    # angular + normalization + node series, of which z = 0 sums none
     rel_extra = (avg.max_rel_err + s_z.truncation_error_bound
-                 + 2.0 * series_tol)  # angular + normalization + node series
+                 + (2.0 * series_tol if z else 0.0))
     converged = bool(converged) and held and not avg.capped
     err = (err_s * factor + abs(value) * rel_extra + math.exp(log_norm + log_out)
            if converged else math.inf)
-    return QuadResult(value, err, evals, converged)
+    return QuadResult(value, err, avg.point_evals, converged)

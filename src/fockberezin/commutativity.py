@@ -27,15 +27,16 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .berezin import _normalization_log, berezin_exp_radial_grid
+from .berezin import berezin_at_zero, berezin_exp_radial_grid
 from .errors import NonConvergenceError
 from .quadrature import (_LOG_WINDOW_DECAY, DEFAULT_MAX_LEVELS,
                          DEFAULT_QUAD_TOL_REL, QuadResult, RadialSymbol,
                          _DESum, _log_rows, _pair_from_symbol, _u_window,
-                         integrate_radial_log, integrate_radial_log_powers)
+                         integrate_radial_log)
 from .special import (DEFAULT_MAX_TERMS, DEFAULT_SERIES_TOL, WeightParams,
                       _log_gamma_error, _ml_inverse_moments, log_series_grid,
                       moment_table)
@@ -241,7 +242,7 @@ def _make_inv_kernel_symbol(params: WeightParams, series_tol, max_terms):
 
 def _u_quadrature(g, alpha, beta, m, powers, *, tol_rel=DEFAULT_QUAD_TOL_REL,
                   max_levels=DEFAULT_MAX_LEVELS):
-    """integrate_radial_log_powers(g, beta, m, powers) for a g that falls
+    """_log_rows(_DESum(g, beta, m, powers)) for a g that falls
     like e^(-alpha r^m) up to powers of r, as 1/S_alpha(r^2) does: it is
     (2/m) alpha^((2-m)/m) r^(2-m) e^(-alpha r^m) up to exponentially small
     terms (the Mittag-Leffler branch of log_series_grid).  In u = beta r^m
@@ -388,16 +389,21 @@ def nested_at_zero(alpha: float, beta: float, m: float, delta: float, *,
     return NestedValue(value, float(value * rel_total), n_last + 1)
 
 
+def significant(gap: float, error: float, kappa: float) -> bool:
+    """The one significance rule: |gap| > kappa * error, kappa finite > 0."""
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be finite and > 0, got {kappa!r}")
+    return bool(abs(gap) > kappa * error)
+
+
 def defect(alpha: float, beta: float, m: float, delta: float, *,
            kappa: float = DEFAULT_KAPPA,
            cache: UCache | None = None) -> DefectReport:
     """Commutator defect (B_beta B_alpha - B_alpha B_beta) f_delta at 0.
 
     Exactly antisymmetric under swapping alpha and beta: both orders reuse
-    the same two nested computations.  kappa must be finite and positive.
+    the same two nested computations.  significant() judges it at kappa.
     """
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be finite and > 0, got {kappa!r}")
     if cache is None:
         cache = UCache()
     forward = nested_at_zero(alpha, beta, m, delta, cache=cache)
@@ -405,7 +411,7 @@ def defect(alpha: float, beta: float, m: float, delta: float, *,
     d = forward.value - backward.value
     combined = forward.error_bound + backward.error_bound
     return DefectReport((alpha, beta, m), delta, forward, backward, d,
-                        combined, bool(abs(d) > kappa * combined), kappa)
+                        combined, significant(d, combined, kappa), kappa)
 
 
 def lemma1_witness(alpha: float, beta: float, m: float, *,
@@ -537,32 +543,28 @@ def nested_by_composition(alpha: float, beta: float, m: float, delta: float, *,
                           tol_rel=DEFAULT_QUAD_TOL_REL,
                           max_levels=DEFAULT_MAX_LEVELS,
                           series_tol=DEFAULT_SERIES_TOL) -> QuadResult:
-    """(B_beta B_alpha f_delta)(0) by direct numerical composition.
+    """(B_beta B_alpha f_delta)(0) as berezin_at_zero of g = B_alpha
+    f_delta, which the radial series route gives at the nodes: this shares
+    no code path with nested_at_zero, whose independent cross-check it is.
 
-    The inner transform is evaluated on the outer quadrature nodes through
-    the radial series route, so this shares no code path with the U-series
-    assembly in nested_at_zero and serves as its independent cross-check.
-
-    The error adds to the quadrature's that of the inner transform, the
-    ratio of two values of S.  Each carries series_tol, and the log of the
-    ratio up to about 4 ulps of the sum of their peak indices x = alpha
-    t^(m/2): alpha r^m at the base radius plus alpha^2/(alpha+delta) r^m
-    at the contracted one.  The mean of r^m under the integrand is a moment
-    ratio, taken from the same exp-sinh run as the value.
+    The error adds to the 2-D route's estimate that of g, a ratio of two
+    values of S, 2 series_tol + 4 eps (1 + x) relative, where x = alpha
+    (2 alpha + delta)/(alpha + delta) r^m sums their peak indices.  Under
+    g dmu_beta the mean x_bar of x is at most that factor times
+    2/(m beta) / value, since 0 <= g <= 1 and r^m has mean 2/(m beta)
+    under mu_beta; a value of 0 bounds no mean, and its estimate is inf.
     """
     _validate_scales(alpha, beta, m)
-    inner = WeightParams(alpha, m)
-    outer = WeightParams(beta, m)
-
-    def g_array(r):
-        return berezin_exp_radial_grid(inner, delta, r, series_tol=series_tol)
-
+    g_array = partial(berezin_exp_radial_grid, WeightParams(alpha, m), delta,
+                      series_tol=series_tol)
     g = RadialSymbol(lambda r: float(g_array(np.array([r]))[0]), 1.0,
                      eval_array=g_array)
-    (log_int, _, rel, converged), evals = integrate_radial_log_powers(
-        g, beta, m, [1.0, 1.0 + m], tol_rel=tol_rel, max_levels=max_levels)
-    value = math.exp(_normalization_log(outer) + log_int[0])
-    x_mean = (alpha * (2.0 * alpha + delta) / (alpha + delta)
-              * math.exp(log_int[1] - log_int[0]))
-    rel_total = rel[0] + 2.0 * series_tol + 4.0 * _EPS * (1.0 + x_mean)
-    return QuadResult(value, value * rel_total, evals, converged.all())
+    res = berezin_at_zero(WeightParams(beta, m), g, tol_rel=tol_rel,
+                          max_levels=max_levels)
+    value, inner_err = res.value, math.inf   # NaN or 0 bounds no x_bar
+    if value > 0.0:
+        x_bar = (alpha * (2.0 * alpha + delta) / (alpha + delta)
+                 * 2.0 / (m * beta) / value)
+        inner_err = value * (2.0 * series_tol + 4.0 * _EPS * (1.0 + x_bar))
+    return QuadResult(value, res.abs_error_estimate + inner_err,
+                      res.evaluations, res.converged)

@@ -8,7 +8,7 @@ the integrable endpoint behaviour at u -> 0 for q < 1 without special cases.
 
 The transformed integrand is summed on a log scale relative to its running
 peak, so the same engine serves integrals whose magnitude is far outside
-double range (callers needing those use integrate_radial_log).
+double range (integrate_radial_log, and _log_rows for a ladder's rows).
 
 One engine (_DESum) runs every exp-sinh integral and returns every error
 estimate, rounding floors included, and inf for a power that does not
@@ -361,19 +361,9 @@ def integrate_radial(g: RadialSymbol, c: float, m: float, power: float = 0.0, *,
                       engine.evals, converged)
 
 
-def integrate_radial_log_powers(g: RadialSymbol, c: float, m: float, powers, *,
-                                tol_rel=DEFAULT_QUAD_TOL_REL,
-                                max_levels=DEFAULT_MAX_LEVELS):
-    """integrate_radial_log for every power in powers, from one exp-sinh
-    run whose nodes all the powers share.  Returns arrays over the powers
-    (log |value|, sign, relative error, converged), and the number of
-    evaluations of g.  An unconverged power's relative error is inf."""
-    return _log_rows(_DESum(_pair_from_symbol(g), c, m, powers, tol_rel,
-                            max_levels))
-
-
 def _log_rows(engine):
-    """Run engine and give its rows as integrate_radial_log_powers does."""
+    """Run engine: arrays over its powers of (log |value|, sign, relative
+    error (inf where unconverged), converged), and the evaluations of g."""
     t_sum, err, log_scale, converged = engine.run()
     mod = np.abs(t_sum)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -388,8 +378,8 @@ def integrate_radial_log(g: RadialSymbol, c: float, m: float, power: float = 0.0
                          max_levels=DEFAULT_MAX_LEVELS):
     """Like integrate_radial but in log form, for results far outside
     double range: returns (log |value|, sign, relative error, evals, converged)."""
-    rows, evals = integrate_radial_log_powers(
-        g, c, m, [power], tol_rel=tol_rel, max_levels=max_levels)
+    rows, evals = _log_rows(_DESum(_pair_from_symbol(g), c, m, [power],
+                                   tol_rel, max_levels))
     (log_value,), (sign,), (rel,), (converged,) = (v.tolist() for v in rows)
     return log_value, sign, rel, evals, converged
 

@@ -22,7 +22,7 @@ from .berezin import (ExpSymbol, PlanarSymbol, berezin_at_zero,
 from .commutativity import (asymptotic_slopes, defect,
                             derivative_identity_check, lemma1_witness,
                             nested_at_zero, nested_by_composition,
-                            tt_identities_m2)
+                            significant, tt_identities_m2)
 from .config import RunConfig
 from .quadrature import integrate_radial, radial_moment, unit_symbol
 from .scan import compute_scan, rows_to_csv, parse_csv, cache_from_config
@@ -352,7 +352,7 @@ def check_derivative_identities(cfg, cache):
 def check_lemma1(cfg, cache):
     """Low-order U-symmetry: certified broken at m=4, intact at m=2."""
     gaps = lemma1_witness(1.0, 2.0, 4.0, cache=cache)
-    sig = [g for g in gaps if abs(g[1]) > cfg.defect_kappa * g[2]]
+    sig = [g for g in gaps if significant(g[1], g[2], cfg.defect_kappa)]
     match = all(_rel(g, ref.U_GAP_M4_12[n]) <= 1e-5 for n, g, _ in gaps)
     m2 = lemma1_witness(1.0, 3.0, 2.0, cache=cache)
     m2_ok = abs(m2[0][1]) <= 1e-10 * math.pi / 4.0

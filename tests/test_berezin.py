@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -75,15 +76,22 @@ class TestAtZero:
         assert res.value == pytest.approx(0.5, rel=1e-11)
 
     def test_closed_form_grid(self):
-        for m in (1.0, 2.0, 3.0, 4.0, 6.0):
-            for a in (0.5, 1.0, 2.0):
-                for d in (0.0, 0.5, 1.0, 4.0):
-                    want = (a / (a + d)) ** (2.0 / m)
+        """Every value within 1e-10 of (alpha/(alpha+delta))^(2/m), and
+        within its estimate, which at z = 0 carries no node-series term."""
+        for m in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 10.0):
+            for a in (1e-3, 0.5, 1.0, 2.0, 1e3):
+                for d in (0.0, 0.5, 1.0, 4.0, 1e3):
+                    with mpmath.workdps(30):
+                        want = float((mpmath.mpf(a) / (mpmath.mpf(a) + d))
+                                     ** (mpmath.mpf(2) / m))
                     # the radial mean by Parseval, then the planar one by
                     # the angular rule, both on the 2-D polar route
                     for f in (ExpSymbol(d), ExpSymbol(d).as_planar(m)):
                         res = berezin_at_zero(WeightParams(a, m), f)
-                        assert abs(res.value - want) / want <= 1e-10
+                        assert res.converged, (m, a, d)
+                        err = abs(res.value - want)
+                        assert err / want <= 1e-10, (m, a, d)
+                        assert err <= res.abs_error_estimate, (m, a, d)
 
     def test_odd_angular_symbol_vanishes(self):
         f = PlanarSymbol(lambda w: math.cos(math.atan2(w.imag, w.real)) if w else 0.0,
@@ -233,6 +241,15 @@ class TestGeneral:
                 assert res.abs_error_estimate == math.inf
             got.append((res.converged, res.evaluations))
         assert tuple(got) == self._LARGE_X[alpha]
+
+    def test_unsummable_circle_reports_inf(self):
+        # X = alpha |z|^m = 8100: a circle's series is still growing at
+        # max_terms, so the point has no value, and says so
+        res = berezin_general(WeightParams(100.0, 4.0), ExpSymbol(1.0), 3.0)
+        assert not res.converged
+        assert math.isnan(res.value)
+        assert res.abs_error_estimate == math.inf
+        assert res.evaluations == 101
 
     def test_unmet_radial_rule_reports_inf(self):
         # levels 2 and 3 only: one level difference, above tol_rel = 1e-12,

@@ -17,7 +17,7 @@ from fockberezin import (NonConvergenceError, UCache, asymptotic_slopes,
 from fockberezin._reference import (DEFECT_M4_1_2_D1, NESTED_M4_BWD_2_1_D1,
                                     NESTED_M4_FWD_1_2_D1, U_GAP_M4_12, U_M4)
 from fockberezin.berezin import ExpSymbol, berezin_general
-from fockberezin.commutativity import _U_BLOCK, UBlock, UValue
+from fockberezin.commutativity import _U_BLOCK, UBlock, UValue, significant
 from fockberezin.special import WeightParams, kernel_series, reproducing_kernel
 
 
@@ -494,11 +494,19 @@ class TestNested:
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
     def test_matches_composition(self, cache):
+        # the last six are the defect-non-m2 witnesses of verify at m = 1,
+        # 3 and 6, in both orders
         for a, b, m, d in [(1.0, 2.0, 2.0, 1.0), (0.5, 1.0, 2.0, 0.5),
-                           (1.0, 2.0, 4.0, 1.0), (1.0, 2.0, 3.0, 0.5)]:
+                           (1.0, 2.0, 4.0, 1.0), (1.0, 2.0, 3.0, 0.5),
+                           (1.0, 5.0, 1.0, 2.0), (5.0, 1.0, 1.0, 2.0),
+                           (0.5, 4.0, 3.0, 0.5), (4.0, 0.5, 3.0, 0.5),
+                           (0.5, 4.0, 6.0, 0.5), (4.0, 0.5, 6.0, 0.5)]:
             nv = nested_at_zero(a, b, m, d, cache=cache)
             comp = nested_by_composition(a, b, m, d)
+            assert comp.converged
             assert nv.value == pytest.approx(comp.value, rel=1e-7)
+            assert (abs(nv.value - comp.value)
+                    <= nv.error_bound + comp.abs_error_estimate), (a, b, m, d)
 
     @pytest.mark.parametrize("series_tol", [1e-13, 1e-16])
     def test_composition_estimate_covers_its_error(self, series_tol):
@@ -645,6 +653,11 @@ class TestDefect:
         for kappa in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 defect(1.0, 2.0, 2.0, 1.0, kappa=kappa, cache=cache)
+            with pytest.raises(ValueError, match="kappa"):
+                significant(1.0, 0.1, kappa)
+        # the one rule that defect and the lemma1 check read: strict
+        assert significant(-2.0, 0.1, 10.0)
+        assert not significant(1.0, 0.1, 10.0)
 
 
 class TestLemma1:

@@ -9,8 +9,15 @@ from fockberezin import (ExpSymbol, PlanarSymbol, RadialSymbol, UCache,
                          WeightParams, berezin_general, integrate_radial,
                          integrate_radial_log, radial_moment, unit_symbol)
 from fockberezin.commutativity import _u_quadrature
-from fockberezin.quadrature import (_A, _EPS, _DESum,
-                                    integrate_radial_log_powers)
+from fockberezin.quadrature import (_A, _EPS, DEFAULT_MAX_LEVELS,
+                                    DEFAULT_QUAD_TOL_REL, _DESum, _log_rows,
+                                    _pair_from_symbol)
+
+
+def _ladder(g, c, m, powers, max_levels=DEFAULT_MAX_LEVELS):
+    """One exp-sinh run of g against every power, in log form."""
+    return _log_rows(_DESum(_pair_from_symbol(g), c, m, powers,
+                            DEFAULT_QUAD_TOL_REL, max_levels))
 
 
 class TestClosedForms:
@@ -179,7 +186,7 @@ class TestPowerLadder:
         zeros, so the sums may differ only by rounding."""
         g = UCache().inv_kernel_symbol(1.3, m)
         powers = [2.0 * n + 1.0 for n in range(48)]
-        rows, _ = integrate_radial_log_powers(g, 0.7, m, powers)
+        rows, _ = _ladder(g, 0.7, m, powers)
         for power, log_val, sign, rel, converged in zip(powers, *rows):
             one_log, one_sign, _, _, one_converged = integrate_radial_log(
                 g, 0.7, m, power)
@@ -337,8 +344,8 @@ class TestUnconverged:
         _, _, rel, _, converged = integrate_radial_log(
             unit_symbol(), 1.0, 2.0, 1.0, max_levels=3)
         assert not converged and rel == math.inf
-        (_, _, rel, converged), _ = integrate_radial_log_powers(
-            unit_symbol(), 1.0, 2.0, [1.0, 3.0], max_levels=3)
+        (_, _, rel, converged), _ = _ladder(unit_symbol(), 1.0, 2.0,
+                                            [1.0, 3.0], max_levels=3)
         assert not converged.any()
         assert (rel == math.inf).all()
 
@@ -354,7 +361,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be"):
             integrate_radial(unit_symbol(), c, m, power)
         with pytest.raises(ValueError, match="must be"):
-            integrate_radial_log_powers(unit_symbol(), c, m, [1.0, power])
+            _ladder(unit_symbol(), c, m, [1.0, power])
 
     @pytest.mark.parametrize("tol_rel", [math.nan, math.inf, 0.0, -1e-12])
     def test_bad_tolerance(self, tol_rel):
