@@ -166,8 +166,8 @@ class _KernelWeightedAverage:
     once (CircleSeries).  For a radial symbol the mean is exact by
     Parseval: f(rho) times the sum of the squared terms, one evaluation of
     f per radius and no angular nodes.  Its only angular error is the
-    rounding of that sum, (rows + 2) eps relative, which max_rel_err
-    counts.
+    rounding of that sum and of its terms' exponents, which max_rel_err
+    counts (CircleSeries.log_mean_abs2).
 
     A planar symbol takes trapezoid node doubling: every level evaluates f
     and |S|^2, by one FFT per circle, on the circles still refining, as
@@ -177,9 +177,13 @@ class _KernelWeightedAverage:
     does not depend on its batch mates.  The trapezoid rule converges
     geometrically on the periodic integrand (Trefethen & Weideman, SIAM
     Rev. 56, 2014), so the difference of the last doubling is the error
-    estimate of the finer mean it keeps; max_rel_err is the largest of
-    these over |mean|.  A circle whose rule is still unmet at _NMAX nodes
-    sets capped, which berezin_general reports as converged=False.
+    estimate of the finer mean it keeps.  To it each circle adds a bound
+    on the mean over its nodes of |f| (2 |S| err + err^2), err the bound
+    on the error of S from the rounding of the terms' exponents
+    (CircleSeries.log_abs_error), which does not enter the rule;
+    max_rel_err is the largest of these sums over |mean|.  A circle whose
+    rule is still unmet at _NMAX nodes sets capped, which berezin_general
+    reports as converged=False.
 
     Values are returned in sign/log form, a planar circle's rescaled by its
     largest |S|^2 on the nodes, so magnitudes far outside double range stay
@@ -212,24 +216,28 @@ class _KernelWeightedAverage:
             fv = self.f.values(rho)
             _check_bound(fv, self.f.sup_bound)
             self.point_evals += rho.size
-            log_mean, rows = circles.log_mean_abs2()
-            self.max_rel_err = max(self.max_rel_err, (rows + 2) * _EPS)
+            log_mean, rel = circles.log_mean_abs2()
+            self.max_rel_err = max(self.max_rel_err, rel)
             with np.errstate(divide="ignore"):
                 return np.sign(fv), np.log(np.abs(fv)) + log_mean
-        # each radius's mean, scale and diff at the level where it stopped
-        out = np.empty((3, rho.size))
+        # each radius's mean, scale, diff, mean|f K| and mean|f| at the
+        # level where it stopped
+        out = np.empty((5, rho.size))
         live = np.arange(rho.size)   # the radii still refining
         n = self._N0
-        mean, scale_log, amean = self._mean(rho, circles, n, offset=False)
+        log_err = circles.log_abs_error()
+        mean, scale_log, amean, mean_f = self._mean(rho, circles, n,
+                                                    offset=False)
         while live.size:
-            mean_off, scale_off, amean_off = self._mean(rho[live], circles, n,
-                                                        offset=True)
+            mean_off, scale_off, amean_off, mean_f_off = self._mean(
+                rho[live], circles, n, offset=True)
             # the two half-meshes carry their own rescale; merge on the larger
             both = np.maximum(scale_log, scale_off)
             w_a = np.exp(scale_log - both)
             w_b = np.exp(scale_off - both)
             mean_new = 0.5 * (mean * w_a + mean_off * w_b)
             amean = 0.5 * (amean * w_a + amean_off * w_b)
+            mean_f = 0.5 * (mean_f + mean_f_off)
             diff = np.abs(mean_new - mean * w_a)
             scale_log = both
             mean = mean_new
@@ -240,15 +248,22 @@ class _KernelWeightedAverage:
                 self.capped = True
                 done[:] = True
             if bool(np.any(done)):
-                out[:, live[done]] = mean[done], scale_log[done], diff[done]
+                out[:, live[done]] = (mean[done], scale_log[done], diff[done],
+                                      amean[done], mean_f[done])
                 keep = ~done
                 live = live[keep]
                 circles = circles.select(keep)
                 mean, scale_log = mean[keep], scale_log[keep]
-                amean = amean[keep]
-        mean, scale_log, diff = out
+                amean, mean_f = amean[keep], mean_f[keep]
+        mean, scale_log, diff, amean, mean_f = out
+        # S errs by at most err on every node, so |S|^2 by 2 |S| err +
+        # err^2; by Cauchy-Schwarz the mean of |f| |S| is at most
+        # sqrt(mean |f| mean |f| |S|^2)
+        err = np.exp(log_err - 0.5 * scale_log)
+        rnd = err * (2.0 * np.sqrt(mean_f * amean) + err * mean_f)
         denom = np.maximum(np.abs(mean), 1e-300)
-        self.max_rel_err = max(self.max_rel_err, float(np.max(diff / denom)))
+        self.max_rel_err = max(self.max_rel_err,
+                               float(np.max((diff + rnd) / denom)))
         sign = np.sign(mean)
         with np.errstate(divide="ignore"):
             log_abs = scale_log + np.log(np.abs(mean))
@@ -266,7 +281,8 @@ class _KernelWeightedAverage:
         fv = self.f.values(rho[:, None] * np.exp(1j * theta[None, :]))
         _check_bound(fv, self.f.sup_bound)
         vals = fv * kernel_w
-        return vals.mean(axis=1), scale, np.abs(vals).mean(axis=1)
+        return (vals.mean(axis=1), scale, np.abs(vals).mean(axis=1),
+                np.abs(fv).mean(axis=1))
 
 
 # Below xi = _ENV_REF the envelope sums the first _ENV_TERMS terms of S and

@@ -14,10 +14,11 @@ summed at log|zeta| + (2/m) log alpha (WeightParams.log_dilation), and only
 stieltjes_moment puts alpha's power back into a moment.
 
 Terms can span thousands of orders of magnitude, so all summation is done on a
-log scale with a single rescale by the maximal term.  kernel_series cumulates
-its exponents from the term-to-term log ratios outward from the peak (raw
-exponents of size ~1e5 lose low bits the scaled sum needs); the chunk engine
-(_chunk_terms) forms n log|z| - log s_n - peak_log directly.
+log scale with a single rescale by the maximal term.  The scalar sum
+(_summed_series) cumulates its exponents from the term-to-term log ratios
+outward from the peak (raw exponents of size ~1e5 lose low bits the scaled
+sum needs); the chunk engine (_chunk_terms) forms n log|z| - log s_n -
+peak_log directly.
 
 Every summation, scalar or grid, follows one stop rule: it ends at the first
 n past the peak term where the geometric tail bound |a_n| rho_n / (1 - rho_n),
@@ -32,12 +33,14 @@ fold and transform them.
 
 On the positive axis S is the Mittag-Leffler function E_{2/m,2/m}, whose
 leading asymptotic term is exact up to terms exponentially small in the
-continuous peak index x = alpha t^(m/2).  The real grid takes log S from
-that term wherever a proven remainder bound meets the stop rule's own
-threshold (_ml_switch), so every real grid value is a value of log S, not
-a bound.  kernel_series, the complex grid and the circles always sum the
-series, or raise NonConvergenceError where it needs more than max_terms
-terms.  The same leading term gives the moments of 1/S against
+continuous peak index x = alpha t^(m/2).  The real grid and kernel_series
+take log S from that term wherever a proven remainder bound meets the stop
+rule's own threshold (_ml_switch), by one helper (_ml_branch), so each
+value there is a value of log S, not a bound, and the scalar and the grid
+give the same bits.  Every other argument of kernel_series
+(_summed_series), the complex grid and the circles sum the series, or
+raise NonConvergenceError where it needs more than max_terms terms.  The
+same leading term gives the moments of 1/S against
 r^p e^(-c r^m) as Gamma functions, under a proven bound
 (_ml_inverse_moments).
 """
@@ -232,7 +235,7 @@ def stieltjes_moment(params: WeightParams, n: int) -> float:
     return -(2.0 * n / params.m) * params.log_alpha + log_gamma_q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesValue:
     """A series evaluation in split log-magnitude / phase form.
 
@@ -356,6 +359,30 @@ def _scaled_sum_error(params, log_abs_z, theta, log_s, peak, exps, scaled):
 def kernel_series(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
                   max_terms=DEFAULT_MAX_TERMS) -> SeriesValue:
     """Evaluate S(zeta) = sum zeta^n / s_n with a relative error bound.
+
+    A positive real zeta whose x = alpha zeta^(m/2) reaches _ml_switch(m,
+    tol) takes log S from the Mittag-Leffler leading term, by the helper
+    that log_series_grid uses (_ml_branch), so the two give the same bits
+    at the same t.  No term is summed there: truncation_terms is 0, and
+    truncation_error_bound is the proven remainder bound plus the rounding
+    of the leading term (_ml_error).  Every other zeta is summed
+    (_summed_series).
+    """
+    zeta = zeta if isinstance(zeta, complex) else float(zeta)
+    # a cheap test in logs first; the branch's own arithmetic sets the bits
+    if (zeta.imag == 0.0 and zeta.real > 0.0
+            and params.log_alpha + 0.5 * params.m * math.log(zeta.real)
+            >= math.log(_ml_switch(params.m, tol)) - 1e-9):
+        closed, x, log_s = _ml_branch(params, np.array([zeta.real]), tol)
+        if closed[0] and log_s[0] < math.inf:
+            x, log_s = float(x[0]), float(log_s[0])
+            return SeriesValue(log_s, 1.0, 0, _ml_error(params.m, x, log_s))
+    return _summed_series(params, zeta, tol=tol, max_terms=max_terms)
+
+
+def _summed_series(params: WeightParams, zeta, *, tol=DEFAULT_SERIES_TOL,
+                   max_terms=DEFAULT_MAX_TERMS) -> SeriesValue:
+    """S(zeta) by summing its series, for any finite zeta.
 
     Sums up to the first n past the peak term where the geometric tail
     bound |a_n| rho_n / (1 - rho_n), relative to the peak term, is at most
@@ -506,6 +533,8 @@ def _ml_switch(m, tol):
     _, ks, coef = _ml_contour(m)
     a = 2.0 / m
     target = tol * math.exp(-_STOP_MARGIN)
+    if not target > 0.0:   # else the search below never ends
+        raise ValueError(f"series tol must be > 0, got {tol!r}")
     lo, hi = 0.0, 1.0
     while _ml_rel_bound(a, ks, coef, hi) > target:
         lo, hi = hi, 2.0 * hi
@@ -525,6 +554,38 @@ def _ml_log(m, x):
     with np.errstate(invalid="ignore"):
         small = (1.0 - a) * np.log(x) - math.log(a)
     return np.where(np.isfinite(x), x + small, np.inf)
+
+
+def _ml_branch(params: WeightParams, t, tol):
+    """The Mittag-Leffler branch of log S on an array t >= 0, as both
+    log_series_grid and kernel_series take it: returns (closed, x, log_s),
+    the mask of the entries whose x = alpha t^(m/2) reaches _ml_switch(m,
+    tol), and their x and _ml_log (flattened in C order)."""
+    with np.errstate(over="ignore"):
+        x = params.alpha * np.power(t, params.m / 2.0)
+    closed = x >= _ml_switch(params.m, tol)
+    x = x[closed]
+    return closed, x, _ml_log(params.m, x)
+
+
+def _ml_error(m, x, log_s):
+    """Bound on |log S - log_s| for log_s = _ml_log(m, x) at a finite
+    x = alpha t^(m/2) past the switch, which also bounds the relative error
+    of exp(log_s) to first order: the remainder, |S/leading - 1| <= b by
+    _ml_rel_bound, so |log(S/leading)| <= b/(1 - b), plus the rounding.
+    In ulps of each operand: 1 for the pow and 1/2 for the product by
+    alpha, a relative error of x that x + (1 - a) log x carries as
+    1.5 (x + |1 - a|); 1 for log x and 1/2 for a = 2/m, for 1 - a and for
+    the product, 2.5 |1 - a| + a/2 of |log x|; 1 for log a and 1/2 for the
+    error of a in it; 1/2 for the difference, at most |1 - a| |log x| +
+    |log a|, and 1/2 for the final sum, |log_s|."""
+    a = 2.0 / m
+    _, ks, coef = _ml_contour(m)
+    b = _ml_rel_bound(a, ks, coef, x)
+    one_a = abs(1.0 - a)
+    rounding = _EPS * (1.5 * (x + one_a) + (2.5 * one_a + 0.5 * a) * abs(math.log(x))
+                       + 1.5 * abs(math.log(a)) + 0.5 + 0.5 * abs(log_s))
+    return b / (1.0 - b) + rounding
 
 
 def _log_lower_gamma_bound(s, y):
@@ -609,12 +670,10 @@ def log_series_grid(params: WeightParams, t, *, tol=DEFAULT_SERIES_TOL,
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all() or (t < 0.0).any():
         raise ValueError("grid arguments must be finite and >= 0")
-    with np.errstate(over="ignore"):
-        x = params.alpha * np.power(t, params.m / 2.0)
-    closed = x >= _ml_switch(params.m, tol)
+    closed, _, log_s = _ml_branch(params, t, tol)
     out = CircleSeries(params, np.where(closed, 0.0, t).ravel(), tol=tol,
                        max_terms=max_terms).log_abs()
-    out[closed.ravel()] = _ml_log(params.m, x[closed])
+    out[closed.ravel()] = log_s
     return out.reshape(t.shape)
 
 
@@ -697,7 +756,9 @@ class CircleSeries:
     select keeps a subset of the circles, and log_abs2 then twists, folds
     and transforms only theirs.  Every complex |S|^2 is floored at
     _ABS2_FLOOR times the squared peak term.  log_mean_abs2 gives the mean
-    of |S|^2 over each whole circle, sum_n (a_n s^n)^2 by Parseval.
+    of |S|^2 over each whole circle, sum_n (a_n s^n)^2 by Parseval, and
+    log_abs_error bounds what the rounding of the terms' exponents does to
+    S on each circle (_ulps).
     """
 
     def __init__(self, params: WeightParams, s, *, tol=DEFAULT_SERIES_TOL,
@@ -710,19 +771,22 @@ class CircleSeries:
         # sorted, the ends bound every radius: negatives sort first, NaN last
         if todo.size and not 0.0 < s[todo[0]] <= s[todo[-1]] < math.inf:
             raise ValueError("circle radii must be finite and >= 0")
-        table = moment_table(params.m)
+        table = self.table = moment_table(params.m)
         self.size = s.size
         self.zero_log_abs = -table.log_moment(0)   # log S(0), for s = 0
         ln_tol = math.log(tol)
-        self.chunks = []   # (radius indices, terms (radii, rows), peak_log)
+        self.log_dilation = params.log_dilation
+        # (radius indices, terms (radii, rows), peak_log, stop, log s)
+        self.chunks = []
         for start in range(0, todo.size, _GRID_CHUNK):
             idx = todo[start: start + _GRID_CHUNK]
+            log_s = np.log(s[idx])
             n, e, peak_log, stop = _chunk_terms(
-                table, np.log(s[idx]) + params.log_dilation, ln_tol, max_terms)
+                table, log_s + params.log_dilation, ln_tol, max_terms)
             # each radius's terms to its own stop, zeros past it
             terms = np.zeros(e.shape)
             np.exp(e, out=terms, where=n <= stop[:, None])
-            self.chunks.append((idx, terms, peak_log))
+            self.chunks.append((idx, terms, peak_log, stop, log_s))
 
     def select(self, keep):
         """The circles where the boolean mask keep is True, in their order."""
@@ -730,13 +794,36 @@ class CircleSeries:
         at = np.cumsum(keep) - 1   # each kept circle's index in new
         new.size = int(np.count_nonzero(keep))
         new.chunks = []
-        for idx, terms, peak_log in self.chunks:
+        for idx, *rest in self.chunks:
             k = keep[idx]
             if k.all():
-                new.chunks.append((at[idx], terms, peak_log))
+                new.chunks.append((at[idx], *rest))
             elif k.any():
-                new.chunks.append((at[idx[k]], terms[k], peak_log[k]))
+                new.chunks.append((at[idx[k]], *(v[k] for v in rest)))
         return new
+
+    def _ulps(self, peak_log, stop, log_s):
+        """For each radius of a chunk, a bound U in ulps such that the
+        rounding of the exponents e_n = n log t - log s_n - peak_log that
+        _chunk_terms forms moves sum_n t_n^p, p = 1 or 2, by at most
+        p eps U relative (the running-error form of _scaled_sum_error).
+
+        Term n is off by r_n ulps relative: n (|log s| + 1.5 |dilation| +
+        |log t|/2 + 1) <= n (1.5 |log s| + 2 |dilation| + 1) for log t (s,
+        log s, the dilation (2/m) log alpha, their sum); |log s_n|/2 for
+        the moment table, and 16 below the Stirling cut; 1/2 of each
+        operand of the product n log t, at most |e_n| + |peak_log| +
+        |log s_n|, of the difference and of the rescale; 1/2 for exp.  So
+        r_n <= n (...) + |log s_n| + 1.5 |e_n| + |peak_log| + 20.  Up to
+        the stop, n <= stop and |log s_n| <= |log s_0| + |log s_stop| +
+        0.13, log Gamma being convex and above -0.13; the peak term is 1,
+        so sum_n t_n^p >= 1, and t_n^p |e_n| <= 1/(p e) for e_n <= 0 adds
+        at most 1.5 (stop + 1)/e."""
+        log_s_stop = self.table.log_moments(int(stop.max()) + 1)[stop]
+        per_n = 2.0 * abs(self.log_dilation) + 1.0 + 1.5 / math.e
+        return (stop * (1.5 * np.abs(log_s) + per_n) + np.abs(log_s_stop)
+                + np.abs(peak_log)
+                + (abs(self.zero_log_abs) + 0.13 + 20.0 + 1.5 / math.e))
 
     def log_abs(self, phase=None):
         """log|S(s e^(i phase))| for each radius s, phase an array of one
@@ -744,7 +831,7 @@ class CircleSeries:
         The terms are summed in index order (np.cumsum; a pairwise sum would
         change its bits with the chunk's row count)."""
         out = np.full(self.size, self.zero_log_abs)
-        for idx, terms, peak_log in self.chunks:
+        for idx, terms, peak_log, *_ in self.chunks:
             if phase is None:
                 log_sum = np.log(np.cumsum(terms, axis=1)[:, -1])
             else:
@@ -757,22 +844,38 @@ class CircleSeries:
         return out
 
     def log_mean_abs2(self):
-        """log of the mean of |S|^2 over each circle |zeta| = s, and the
-        most rows of any chunk.  By Parseval the mean is sum_n (a_n s^n)^2,
-        summed in index order as in log_abs, so it rounds within
-        (rows + 2) eps relative."""
+        """log of the mean of |S|^2 over each circle |zeta| = s, and a bound
+        on the relative error of every mean.  By Parseval the mean is
+        sum_n (a_n s^n)^2, summed in index order as in log_abs over the
+        stop + 1 terms of each radius, so it rounds within (stop + 3) eps
+        relative, 2 eps U for the squared terms' exponents (_ulps), and half
+        an ulp of the log, at most |peak_log| + log(stop + 1)/2.  U counts
+        stop + |peak_log| + 20 at least, so 3 eps U bounds the whole."""
         out = np.full(self.size, 2.0 * self.zero_log_abs)
-        rows = 0
-        for idx, terms, peak_log in self.chunks:
-            rows = max(rows, terms.shape[1])
+        rel = 2.0 * _EPS
+        for idx, terms, peak_log, stop, log_s in self.chunks:
             out[idx] = 2.0 * peak_log + np.log(
                 np.cumsum(terms * terms, axis=1)[:, -1])
-        return out, rows
+            rel = max(rel, 3.0 * _EPS * float(
+                self._ulps(peak_log, stop, log_s).max()))
+        return out, rel
+
+    def log_abs_error(self):
+        """For each radius, the log of a bound on the error of S on every
+        point of its circle from the rounding of the terms' exponents:
+        eps U sum_n t_n (_ulps), the scaled sum on the positive axis times
+        |e^(i n phase)| = 1; -inf at s = 0, which sums no series."""
+        out = np.full(self.size, -math.inf)
+        for idx, terms, peak_log, stop, log_s in self.chunks:
+            out[idx] = peak_log + np.log(
+                _EPS * self._ulps(peak_log, stop, log_s)
+                * np.cumsum(terms, axis=1)[:, -1])
+        return out
 
     def log_abs2(self, phase, n_nodes):
         """log|S(s e^(i (phase - 2 pi k / n_nodes)))|^2, shape (radii, n_nodes)."""
         out = np.full((self.size, n_nodes), 2.0 * self.zero_log_abs)
-        for idx, terms, peak_log in self.chunks:
+        for idx, terms, peak_log, *_ in self.chunks:
             rows = terms.shape[1]
             twisted = terms * np.exp(1j * (phase * np.arange(rows)))
             folded = twisted[:, :n_nodes]

@@ -27,8 +27,8 @@ from .config import RunConfig
 from .quadrature import integrate_radial, radial_moment, unit_symbol
 from .scan import compute_scan, rows_to_csv, parse_csv, cache_from_config
 from .special import (_EPS, _STOP_MARGIN, WeightParams, _ml_switch,
-                      kernel_series, log_series_grid, moment_table,
-                      reproducing_kernel, stieltjes_moment)
+                      _summed_series, kernel_series, log_series_grid,
+                      moment_table, reproducing_kernel, stieltjes_moment)
 
 
 @dataclass
@@ -155,35 +155,49 @@ def check_kernel_properties(cfg, cache):
 # quadrature
 # ---------------------------------------------------------------------------
 
+ML_BRANCH_WEIGHTS = tuple(WeightParams(alpha, m)
+                          for m in (0.5, 1.0, 2.0, 3.0, 10.0)
+                          for alpha in (1e-3, 1.0, 1e6))
+
+
+def first_t_past_switch(p, tol):
+    """The smallest t at which the Mittag-Leffler branch fires for the
+    weight p, where alpha t^(m/2) reaches _ml_switch(m, tol): from the
+    real solution, one ulp at a time down while it fires, then up until
+    it does."""
+    x_switch = _ml_switch(p.m, tol)
+    t = (x_switch / p.alpha) ** (2.0 / p.m)
+    while p.alpha * np.power(t, p.m / 2.0) >= x_switch:
+        t = float(np.nextafter(t, 0.0))
+    while p.alpha * np.power(t, p.m / 2.0) < x_switch:
+        t = float(np.nextafter(t, math.inf))
+    return t
+
+
 def check_ml_branch(cfg, cache):
-    """The Mittag-Leffler branch of log_series_grid against the summed
-    kernel_series, at the first t where the branch fires.  They must agree
-    within the sum of their bounds: kernel_series's own, and for the branch
-    its remainder threshold tol e^-_STOP_MARGIN plus the rounding of
-    x = alpha t^(m/2) (pow and product, under 2 ulps) and of the sum."""
+    """The Mittag-Leffler branch of log_series_grid (which kernel_series
+    shares) against the summed series (_summed_series), at the first t
+    where the branch fires.  They must agree within the sum of their
+    bounds: the summed series' own, and for the branch its remainder
+    threshold tol e^-_STOP_MARGIN plus the rounding of x = alpha t^(m/2)
+    (pow and product, under 2 ulps) and of the sum."""
     worst_gap = worst_share = 0.0
-    for m in (0.5, 1.0, 2.0, 3.0, 10.0):
-        x_switch = _ml_switch(m, cfg.tol_series)
-        for alpha in (1e-3, 1.0, 1e6):
-            p = WeightParams(alpha, m)
-            t = (x_switch / alpha) ** (2.0 / m)
-            while alpha * np.power(t, m / 2.0) < x_switch:
-                t = float(np.nextafter(t, math.inf))
-            x = alpha * np.power(t, m / 2.0)
-            log_s = float(log_series_grid(p, np.array([t]),
-                                          tol=cfg.tol_series,
-                                          max_terms=cfg.series_max_terms)[0])
-            sv = kernel_series(p, t, tol=cfg.tol_series,
-                               max_terms=cfg.series_max_terms)
-            bound = (sv.truncation_error_bound
-                     + cfg.tol_series * math.exp(-_STOP_MARGIN)
-                     + 2.0 * _EPS * (x + abs(log_s)))
-            gap = abs(log_s - sv.log_magnitude)
-            worst_gap = max(worst_gap, gap)
-            worst_share = max(worst_share, gap / bound)
+    for p in ML_BRANCH_WEIGHTS:
+        t = first_t_past_switch(p, cfg.tol_series)
+        x = p.alpha * np.power(t, p.m / 2.0)
+        log_s = float(log_series_grid(p, np.array([t]), tol=cfg.tol_series,
+                                      max_terms=cfg.series_max_terms)[0])
+        sv = _summed_series(p, t, tol=cfg.tol_series,
+                            max_terms=cfg.series_max_terms)
+        bound = (sv.truncation_error_bound
+                 + cfg.tol_series * math.exp(-_STOP_MARGIN)
+                 + 2.0 * _EPS * (x + abs(log_s)))
+        gap = abs(log_s - sv.log_magnitude)
+        worst_gap = max(worst_gap, gap)
+        worst_share = max(worst_share, gap / bound)
     return worst_share <= 1.0, (f"max |log S gap| {worst_gap:.2e} at the "
                                 f"switch, {worst_share:.2f} of the bounds "
-                                f"(15 weights)")
+                                f"({len(ML_BRANCH_WEIGHTS)} weights)")
 
 
 def check_quad_oracle(cfg, cache):
@@ -376,15 +390,16 @@ def check_defect_m2(cfg, cache):
     """Commutativity at m=2 over the 4x4x4 grid, with the closed form."""
     grid = (0.5, 1.0, 2.0, 4.0)
     worst_d, worst_cf, any_sig = 0.0, 0.0, False
-    bound_ok = True
+    finite = True
     for a, b, d in itertools.product(grid, grid, grid):
         rep = defect(a, b, 2.0, d, kappa=cfg.defect_kappa, cache=cache)
         worst_d = max(worst_d, abs(rep.defect))
-        bound_ok &= abs(rep.defect) <= cfg.defect_kappa * rep.combined_error
+        # a NaN defect is never significant, and max() skips it
+        finite &= math.isfinite(rep.defect)
         any_sig |= rep.significant
         want = a * b / (a * b + a * d + b * d)
         worst_cf = max(worst_cf, _rel(rep.forward.value, want))
-    ok = worst_d <= 1e-9 and worst_cf <= 1e-9 and bound_ok and not any_sig
+    ok = worst_d <= 1e-9 and worst_cf <= 1e-9 and finite and not any_sig
     return ok, (f"max |defect| {worst_d:.2e}, closed-form max rel {worst_cf:.2e}, "
                 f"none significant: {not any_sig}")
 

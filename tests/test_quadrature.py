@@ -309,11 +309,12 @@ class TestFirstCallBits:
     # the radial row's circles take their mean of |S|^2 from Parseval, one
     # node per radius, so its bits are those of that route.  The counts and
     # the radial estimate are those of the radial window of the kernel's
-    # envelope: the estimate's Parseval rounding, (rows + 2) eps, counts the
-    # rows of the largest circle the window holds
+    # envelope: the estimate's Parseval term counts, for each circle the
+    # window holds, the rounding of its sum and of its terms' exponents
+    # (CircleSeries._ulps)
     @pytest.mark.parametrize("planar,want", [
-        (False, ("0x1.1f180d0c4b584p-1", "0x1.04c2bbae5b288p-35", 113)),
-        (True, ("0x1.1f180d0c4b586p-1", "0x1.522ebf16f7d36p-35", 4928))],
+        (False, ("0x1.1f180d0c4b584p-1", "0x1.05b1d4f392080p-35", 113)),
+        (True, ("0x1.1f180d0c4b586p-1", "0x1.52946610547dcp-35", 4928))],
         ids=["radial", "planar"])
     def test_berezin_general(self, planar, want):
         f = ExpSymbol(0.7)

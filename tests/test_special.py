@@ -14,6 +14,7 @@ from fockberezin import (MomentTable, NonConvergenceError, WeightParams,
 from fockberezin import special
 from fockberezin._reference import S_A1_M4_Z1, S_COMPLEX, S_REAL
 from fockberezin.special import _EPS, series_abs2_grid
+from fockberezin.verify import ML_BRANCH_WEIGHTS, first_t_past_switch
 
 
 class TestLogGamma:
@@ -292,17 +293,18 @@ class TestKernelSeries:
         assert sv.log_magnitude == pytest.approx(2000.0, rel=1e-12)
         assert math.isinf(sv.value)  # linear value overflows by design
 
+    # on the negative axis, where the series is summed at every |zeta|
     def test_nonconvergence_reports_partial(self):
         # cap hit after the peak: the partial sum and its bound are reported
         with pytest.raises(NonConvergenceError) as ei:
-            kernel_series(WeightParams(1.0, 2.0), 100.0, max_terms=110)
+            kernel_series(WeightParams(1.0, 2.0), -100.0, max_terms=110)
         assert ei.value.partial is not None
         assert ei.value.error_bound > 0
 
     def test_nonconvergence_while_growing(self):
         # cap hit while terms are still growing: nothing useful to report
         with pytest.raises(NonConvergenceError):
-            kernel_series(WeightParams(1.0, 2.0), 100.0, max_terms=30)
+            kernel_series(WeightParams(1.0, 2.0), -100.0, max_terms=30)
 
     def test_walk_matches_full_table(self):
         """The walk's peak and stop against their definitions on a full
@@ -391,12 +393,7 @@ def _fires(p, t):
 def _switch_bracket(p):
     """The first t at which the branch fires and its neighbours within
     three ulps on either side."""
-    t = (special._ml_switch(p.m, special.DEFAULT_SERIES_TOL) / p.alpha
-         ) ** (2.0 / p.m)
-    while _fires(p, t):
-        t = float(np.nextafter(t, 0.0))
-    while not _fires(p, t):
-        t = float(np.nextafter(t, math.inf))
+    t = first_t_past_switch(p, special.DEFAULT_SERIES_TOL)
     return t * (1.0 + _EPS * np.arange(-3.0, 4.0))
 
 
@@ -474,7 +471,8 @@ class TestGridEvaluators:
 
     def test_chunk_stops_match_scalar_path(self):
         """_chunk_terms tests the stop rule only from the chunk's smallest
-        peak on; every entry must still stop where kernel_series stops.
+        peak on; every entry must still stop where the summed scalar path
+        (_summed_series) stops.
         Chunks of one octave of peak index over 7 decades, and the chunks
         that CircleSeries cuts from the whole sorted grid, plus entries
         whose series stops at its peak term 0 and runs of entries a few
@@ -494,7 +492,7 @@ class TestGridEvaluators:
             chunks = [ts[octave == band] for band in np.unique(octave)]
             chunks += [ts[i: i + special._GRID_CHUNK]
                        for i in range(0, ts.size, special._GRID_CHUNK)]
-            want = {x: kernel_series(p, x).truncation_terms - 1
+            want = {x: special._summed_series(p, x).truncation_terms - 1
                     for x in ts.tolist()}
             for t in chunks:
                 stop = special._chunk_terms(
@@ -535,19 +533,29 @@ class TestMittagLefflerBranch:
     @staticmethod
     def _log_sum(alpha, m, t):
         """log sum_n y^n / Gamma(a n + a) at the working precision, term by
-        term in log form, to e^-80 of the sum past the peak."""
-        from mpmath import exp, log, loggamma, mpf
+        term in log form, outward from the peak term to e^-80 of it on
+        both sides."""
+        from mpmath import exp, fsum, log, loggamma, mpf
         a = 2 / mpf(m)
         log_y = a * log(mpf(alpha)) + log(mpf(t))
-        x = exp(log_y / a)
-        total, n = mpf(0), 0
-        while True:
-            log_term = n * log_y - loggamma(a * n + a)
-            total += exp(log_term)
-            if a * n > x and log_term < log(total) - 80:
-                return log(total)
-            n += 1
-            assert n < 10 ** 5, (alpha, m, t)
+
+        def log_term(n):
+            return n * log_y - loggamma(a * n + a)
+
+        peak = int(exp(log_y / a) / a)
+        while log_term(peak + 1) > log_term(peak):
+            peak += 1
+        while peak > 0 and log_term(peak - 1) > log_term(peak):
+            peak -= 1
+        top, terms = log_term(peak), [mpf(1)]
+        for step in (1, -1):
+            n = peak + step
+            while n >= 0:
+                terms.append(exp(log_term(n) - top))
+                if log_term(n) - top < -80:
+                    break
+                n += step
+        return top + log(fsum(terms))
 
     def test_against_mpmath_at_and_past_the_switch(self):
         """At the first t where the branch fires and at three times its x,
@@ -631,6 +639,69 @@ class TestMittagLefflerBranch:
             got = log_series_grid(p, ts)
             assert np.array_equal(got[closed], alpha * ts[closed]), alpha
 
+    def test_kernel_series_bound_against_mpmath(self):
+        """kernel_series past the switch takes the branch and sums nothing;
+        its bound covers the true error of log S against 40-digit sums,
+        over m in {0.5, 1, 1.5, 3, 4, 10}, alpha in {1e-3, 1, 1e6} and x
+        just past the switch, 100, 500 and 2000 (72 points).  At m = 2,
+        S(t) = e^(alpha t): the bound covers the true error of the value
+        against exp(alpha t) in mpmath."""
+        from mpmath import exp, fabs, mp, mpf
+        for m in (0.5, 1.0, 1.5, 3.0, 4.0, 10.0):
+            x_switch = special._ml_switch(m, special.DEFAULT_SERIES_TOL)
+            for alpha in (1e-3, 1.0, 1e6):
+                p = WeightParams(alpha, m)
+                for x in (x_switch * (1.0 + 1e-9), 100.0, 500.0, 2000.0):
+                    t = (x / alpha) ** (2.0 / m)
+                    sv = kernel_series(p, t)
+                    assert sv.truncation_terms == 0 and sv.phase_or_sign == 1.0
+                    with mp.workdps(40):
+                        want = self._log_sum(alpha, m, t)
+                        err = float(fabs(mpf(sv.log_magnitude) - want))
+                    assert err <= sv.truncation_error_bound, (m, alpha, x)
+        for alpha in (1e-3, 1.0, 1e6):
+            p = WeightParams(alpha, 2.0)
+            for x in (40.0, 300.0, 3000.0):
+                sv = kernel_series(p, x / alpha)
+                with mp.workdps(40):
+                    want = exp(mpf(alpha) * mpf(x / alpha))
+                    err = float(fabs(exp(mpf(sv.log_magnitude)) - want) / want)
+                assert sv.truncation_terms == 0
+                assert err <= sv.truncation_error_bound, (alpha, x)
+
+    def test_kernel_series_where_the_sum_cannot_go(self):
+        """At WeightParams(1, 3) and t = 5000 the series needs more than
+        max_terms terms: the summed path raises, and kernel_series returns
+        the bits of log_series_grid under a finite bound."""
+        p = WeightParams(1.0, 3.0)
+        with pytest.raises(NonConvergenceError):
+            special._summed_series(p, 5000.0)
+        sv = kernel_series(p, 5000.0)
+        assert sv.log_magnitude == log_series_grid(p, np.array([5000.0]))[0]
+        assert sv.truncation_terms == 0
+        assert 0.0 < sv.truncation_error_bound < 1e-9
+
+    def test_kernel_series_matches_grid_bits(self):
+        """The scalar and the grid share one branch: the same bits at the
+        first t past the switch of the 15 weights of the ml-branch check,
+        alone and in a batch with larger t, and the summed bits one ulp
+        below it.  Negative, complex and below-switch arguments keep the
+        summed path bit for bit."""
+        tol = special.DEFAULT_SERIES_TOL
+        for p in ML_BRANCH_WEIGHTS:
+            t = first_t_past_switch(p, tol)
+            ts = np.concatenate([[t], t * np.geomspace(1.5, 1e3, 40)])
+            grid = log_series_grid(p, ts)
+            assert grid[0] == log_series_grid(p, ts[:1])[0], p
+            for x, g in zip(ts, grid):
+                sv = kernel_series(p, float(x))
+                assert sv.log_magnitude == g and sv.truncation_terms == 0, p
+            below = float(np.nextafter(t, 0.0))
+            for zeta in (below, -t, complex(t, 1e-3 * t), complex(-below, 0.0)):
+                got = kernel_series(p, zeta)
+                want = special._summed_series(p, zeta)
+                assert got == want and got.truncation_terms > 0, (p, zeta)
+
     def test_overflowing_peak_index_is_inf(self):
         # alpha t^(m/2) overflows double range: log S is inf, not NaN
         for m in (3.0, 10.0):
@@ -712,8 +783,8 @@ class TestCircleSeries:
             psi = 0.4 - 2.0 * math.pi * np.arange(64) / 64
             dense = series_abs2_grid(p, big[:, None] * np.exp(1j * psi))
             top = 2.0 * log_series_grid(p, big)[:, None]
-            n_stop = np.array([kernel_series(p, float(x)).truncation_terms
-                               for x in big]) - 1
+            n_stop = np.array([special._summed_series(p, float(x))
+                               .truncation_terms for x in big]) - 1
             gap = np.abs(np.exp(fft - top) - np.exp(dense - top))
             assert np.all(gap.max(axis=1)
                           <= 8.0 * _EPS * math.pi * (n_stop + 1)), m
@@ -736,8 +807,8 @@ class TestCircleSeries:
                 s = (2.0 * n_peak / (m * alpha)) ** (2.0 / m)
                 circles = special.CircleSeries(p, s)
                 top = 2.0 * log_series_grid(p, s)[:, None]
-                n_stop = np.array([kernel_series(p, float(x)).truncation_terms
-                                   for x in s]) - 1
+                n_stop = np.array([special._summed_series(p, float(x))
+                                   .truncation_terms for x in s]) - 1
                 gate = 8.0 * _EPS * math.pi * (n_stop + 1)
                 for n_nodes in (16, 256, 8192):
                     k = np.arange(n_nodes)
